@@ -29,7 +29,7 @@ pub mod linear;
 pub mod probabilistic;
 pub mod recursive;
 
-use disasm_core::{Disassembly, Image};
+use disasm_core::{Disassembly, Image, Recorder};
 
 /// The comparator tools, as an enumerable set for experiment sweeps.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -68,25 +68,17 @@ impl Baseline {
     /// one coarse phase named after the tool, so `metadis compare` can show
     /// per-tool timing with the same schema as the main pipeline.
     pub fn disassemble(self, image: &Image) -> Disassembly {
-        let sw = obs::Stopwatch::start();
-        let mark = obs::alloc::is_active().then(obs::alloc::mark);
+        let mut rec = Recorder::start(image.text.len() as u64);
+        let ph = rec.phase(self.name());
         let mut d = match self {
             Baseline::LinearSweep => linear::disassemble(image),
             Baseline::Recursive => recursive::disassemble(image, false),
             Baseline::RecursiveScan => recursive::disassemble(image, true),
             Baseline::Probabilistic => probabilistic::disassemble(image),
         };
-        let nb = image.text.len() as u64;
-        d.trace
-            .record(self.name(), sw.elapsed_ns(), nb, d.inst_starts.len() as u64);
-        d.trace.total_wall_ns = sw.elapsed_ns();
-        d.trace.text_bytes = nb;
-        d.trace.runs = 1;
-        if let Some(m) = mark {
-            let (alloc_bytes, alloc_peak) = m.measure();
-            d.trace.alloc_bytes = alloc_bytes;
-            d.trace.alloc_peak = alloc_peak;
-        }
+        let instructions = d.inst_starts.len() as u64;
+        ph.done(instructions, &[("instructions", instructions)]);
+        d.trace = rec.finish();
         if obs::enabled() {
             let g = obs::global();
             g.add("baseline.runs", 1);

@@ -24,12 +24,11 @@ use crate::padding;
 use crate::provenance::{kind, Prov, NO_CLASS};
 use crate::stats::{StatModel, StatModelBuilder};
 use crate::superset::{CandFlow, Superset};
-use crate::trace::PipelineTrace;
+use crate::trace::{Phase, PipelineTrace, Recorder};
 use crate::viability::Viability;
 use crate::{ByteClass, Config, Disassembly, Image};
-use obs::log::{Level, Value};
+use obs::log::Level;
 use obs::provenance::NO_CAUSE;
-use obs::{SpanSet, Stopwatch};
 use std::collections::{BTreeMap, BTreeSet};
 use x86_isa::OpClass;
 
@@ -100,26 +99,20 @@ const FREE: Cell = Cell {
 /// Run the full pipeline over an image.
 ///
 /// Phase timing is recorded unconditionally into the result's
-/// [`PipelineTrace`] (a few clock reads per run); global counters and
-/// histograms only fire when [`obs::enabled`].
+/// [`PipelineTrace`] through one [`Recorder`] (a few clock reads per run);
+/// global counters and histograms only fire when [`obs::enabled`].
 pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
-    let total = Stopwatch::start();
     let deadline = Deadline::start(&cfg.limits);
-    let mut trace = PipelineTrace::new();
-    trace.threads = cfg.threads.max(1) as u64;
-    // Flight-recorder window for this run: spans mirror into the timeline
-    // via SpanSet, shard/merge events land during the sharded phases, and
-    // the closing analysis below reads back exactly this run's events.
-    let tl_mark = obs::timeline::mark();
-    let mut spans = SpanSet::new();
-    let root = spans.begin("pipeline");
     let text = &image.text;
     let n = text.len();
     let nb = n as u64;
+    let mut rec = Recorder::start(nb);
+    rec.trace.threads = cfg.threads.max(1) as u64;
+    let root = rec.root();
     obs::log::emit(
         Level::Info,
         "pipeline",
-        Some(root),
+        root,
         "run begin",
         &[("bytes", nb.into())],
     );
@@ -130,34 +123,17 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
 
     let mut prov = Prov::new(cfg.collect_provenance);
 
-    let sp = spans.begin("superset");
-    let sw = Stopwatch::start();
+    let mut ph = rec.phase("superset");
     let (ss, deg, ss_shards, ss_merge) = Superset::build_sharded(
         text,
         cfg.limits.max_superset_candidates,
         &deadline,
         cfg.threads,
     );
-    trace.degradations.extend(deg);
+    ph.degrade(deg);
+    ph.sharded(ss_shards, ss_merge);
     let candidates = ss.valid().count() as u64;
-    trace.record_sharded(
-        "superset",
-        sw.elapsed_ns(),
-        nb,
-        candidates,
-        ss_shards,
-        ss_merge,
-    );
-    spans.counter(sp, "bytes", nb);
-    spans.counter(sp, "candidates", candidates);
-    spans.end(sp);
-    obs::log::emit(
-        Level::Info,
-        "superset",
-        Some(sp),
-        "phase done",
-        &[("bytes", nb.into()), ("candidates", candidates.into())],
-    );
+    ph.done(candidates, &[("bytes", nb), ("candidates", candidates)]);
     if prov.enabled() {
         prov.emit(
             "superset",
@@ -174,42 +150,29 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
         });
     }
 
-    let sp = spans.begin("viability");
-    let sw = Stopwatch::start();
-    let (viab, vi_shards, vi_merge) = if cfg.enable_viability {
+    let mut ph = rec.phase("viability");
+    let viab = if cfg.enable_viability {
         let (v, deg, shards, merge) = Viability::compute_sharded(
             &ss,
             cfg.limits.max_viability_iterations,
             &deadline,
             cfg.threads,
         );
-        trace.degradations.extend(deg);
-        (v, shards, merge)
+        ph.degrade(deg);
+        ph.sharded(shards, merge);
+        v
     } else {
-        (Viability::trivial(&ss), 1, 0)
+        Viability::trivial(&ss)
     };
-    trace.viability_iterations = viab.iterations();
-    trace.record_sharded(
-        "viability",
-        sw.elapsed_ns(),
-        nb,
-        viab.eliminated() as u64,
-        vi_shards,
-        vi_merge,
-    );
-    spans.counter(sp, "eliminated", viab.eliminated() as u64);
-    spans.counter(sp, "iterations", viab.iterations());
-    spans.end(sp);
-    obs::log::emit(
-        Level::Info,
-        "viability",
-        Some(sp),
-        "phase done",
+    let eliminated = viab.eliminated() as u64;
+    ph.done(
+        eliminated,
         &[
-            ("eliminated", (viab.eliminated() as u64).into()),
-            ("iterations", viab.iterations().into()),
+            ("eliminated", eliminated),
+            ("iterations", viab.iterations()),
         ],
     );
+    rec.trace.viability_iterations = viab.iterations();
     if prov.enabled() {
         emit_runs(
             &mut prov,
@@ -240,27 +203,16 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
     eng.decisions[Priority::Behavioral as usize] = viab.eliminated();
 
     // ---- P0: anchor (entry point) + recursive closure
-    let sp = spans.begin("anchor");
-    let sw = Stopwatch::start();
+    let ph = eng.phase(&mut rec, "anchor");
     if let Some(entry) = image.entry {
         eng.func_starts.insert(entry);
         eng.accept_and_propagate(entry, Priority::Anchor as u8, NO_CAUSE);
     }
-    let anchor_items = eng.decisions[Priority::Anchor as usize] as u64;
-    trace.record("anchor", sw.elapsed_ns(), nb, anchor_items);
-    spans.counter(sp, "accepted", anchor_items);
-    spans.end(sp);
-    obs::log::emit(
-        Level::Info,
-        "anchor",
-        Some(sp),
-        "phase done",
-        &[("accepted", anchor_items.into())],
-    );
+    let accepted = eng.decisions[Priority::Anchor as usize] as u64;
+    ph.done(accepted, &[("accepted", accepted)]);
 
     // ---- P2: structural — jump tables and address-taken constants
-    let sp = spans.begin("jumptable");
-    let sw = Stopwatch::start();
+    let mut ph = eng.phase(&mut rec, "jumptable");
     let tables = if cfg.enable_jump_tables {
         let out = jumptable::detect_budgeted(
             text,
@@ -271,21 +223,12 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
             cfg.limits.max_table_entries,
             &deadline,
         );
-        trace.degradations.extend(out.degradations);
+        ph.degrade(out.degradations);
         out.tables
     } else {
         Vec::new()
     };
-    trace.record("jumptable", sw.elapsed_ns(), nb, tables.len() as u64);
-    spans.counter(sp, "tables", tables.len() as u64);
-    spans.end(sp);
-    obs::log::emit(
-        Level::Info,
-        "jumptable",
-        Some(sp),
-        "phase done",
-        &[("tables", (tables.len() as u64).into())],
-    );
+    ph.done(tables.len() as u64, &[("tables", tables.len() as u64)]);
     for t in &tables {
         eng.jt_targets.extend(t.targets.iter().copied());
     }
@@ -298,25 +241,19 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
     // disabled (first-decision-wins) the adversarial order reproduces the
     // behavior of naive tools.
     if cfg.stats_first || !cfg.prioritized {
-        eng.statistical_phase(cfg, text, &mut trace, &mut spans);
-        eng.structural_phase(cfg, image, &tables, &mut trace, &mut spans);
+        eng.statistical_phase(cfg, text, &mut rec);
+        eng.structural_phase(cfg, image, &tables, &mut rec);
     } else {
-        eng.structural_phase(cfg, image, &tables, &mut trace, &mut spans);
-        eng.statistical_phase(cfg, text, &mut trace, &mut spans);
+        eng.structural_phase(cfg, image, &tables, &mut rec);
+        eng.statistical_phase(cfg, text, &mut rec);
     }
     // padding sweep (also applies when stats are disabled)
-    let sp = spans.begin("padding");
-    let sw = Stopwatch::start();
-    eng.cur_phase = "padding";
+    let ph = eng.phase(&mut rec, "padding");
     eng.padding_pass();
-    trace.record("padding", sw.elapsed_ns(), nb, 0);
-    spans.end(sp);
-    obs::log::emit(Level::Info, "padding", Some(sp), "phase done", &[]);
+    ph.done(0, &[]);
 
     // ---- P4: leftovers are data
-    let sp = spans.begin("default");
-    let sw = Stopwatch::start();
-    eng.cur_phase = "default";
+    let ph = eng.phase(&mut rec, "default");
     let default_before = eng.decisions[Priority::Default as usize];
     let mut run_start: Option<usize> = None;
     for o in 0..=n {
@@ -342,26 +279,17 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
         }
     }
     let default_items = (eng.decisions[Priority::Default as usize] - default_before) as u64;
-    trace.record("default", sw.elapsed_ns(), nb, default_items);
-    spans.counter(sp, "bytes", default_items);
-    spans.end(sp);
-    obs::log::emit(
-        Level::Info,
-        "default",
-        Some(sp),
-        "phase done",
-        &[("bytes", default_items.into())],
-    );
+    ph.done(default_items, &[("bytes", default_items)]);
 
     if let Some(kind) = eng.exhausted {
-        trace.degradations.push(Degradation {
+        rec.trace.degradations.push(Degradation {
             phase: "correct",
             limit: kind,
             completed: eng.steps,
         });
     }
     if eng.prov.enabled() {
-        for deg in &trace.degradations {
+        for deg in &rec.trace.degradations {
             eng.prov.emit(
                 deg.phase,
                 kind::DEGRADED,
@@ -375,11 +303,11 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
         }
     }
     if obs::log::enabled(Level::Warn) {
-        for deg in &trace.degradations {
+        for deg in &rec.trace.degradations {
             obs::log::emit(
                 Level::Warn,
                 deg.phase,
-                Some(root),
+                root,
                 "budget hit",
                 &[
                     ("limit", deg.limit.name().into()),
@@ -389,19 +317,11 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
         }
     }
 
-    trace.total_wall_ns = total.elapsed_ns();
-    trace.text_bytes = nb;
-    trace.runs = 1;
-    spans.end(root);
-    trace.spans = spans.finish();
-    trace.adopt_root_alloc();
-    if obs::timeline::enabled() {
-        trace.timeline = obs::chrome::summarize(&obs::timeline::snapshot_since(tl_mark));
-    }
+    let trace = rec.finish();
     obs::log::emit(
         Level::Info,
         "pipeline",
-        Some(root),
+        root,
         "run done",
         &[
             ("wall_ns", trace.total_wall_ns.into()),
@@ -418,7 +338,7 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
         g.add("pipeline.runs", 1);
         g.add("pipeline.bytes", nb);
         g.add("superset.candidates", candidates);
-        g.add("viability.eliminated", viab.eliminated() as u64);
+        g.add("viability.eliminated", eliminated);
         g.add("viability.iterations", viab.iterations());
         g.add("corrections.applied", d.corrections.len() as u64);
         g.record("pipeline.wall_ns", d.trace.total_wall_ns);
@@ -448,7 +368,7 @@ struct Engine<'a> {
     exhausted: Option<LimitKind>,
     /// Evidence recorder (no-op unless [`Config::collect_provenance`]).
     prov: Prov,
-    /// Phase name stamped onto emitted evidence (tracks the trace contract).
+    /// Phase name stamped onto emitted evidence (set by [`Engine::phase`]).
     cur_phase: &'static str,
 }
 
@@ -478,6 +398,13 @@ fn emit_runs(
 }
 
 impl<'a> Engine<'a> {
+    /// Open phase `name` on `rec`; evidence emitted until the next phase
+    /// opens is stamped with its name.
+    fn phase<'r>(&mut self, rec: &'r mut Recorder, name: &'static str) -> Phase<'r> {
+        self.cur_phase = name;
+        rec.phase(name)
+    }
+
     /// Account for one correction-engine step; `false` once a budget is
     /// hit. The deadline is polled every 1024 steps to keep the clock read
     /// off the hot path.
@@ -504,12 +431,9 @@ impl<'a> Engine<'a> {
         cfg: &Config,
         image: &Image,
         tables: &[jumptable::DetectedTable],
-        trace: &mut PipelineTrace,
-        spans: &mut SpanSet,
+        rec: &mut Recorder,
     ) {
-        let sp = spans.begin("structural");
-        let sw = Stopwatch::start();
-        self.cur_phase = "structural";
+        let ph = self.phase(rec, "structural");
         let before = self.decisions[Priority::Structural as usize];
         for t in tables {
             if t.in_text {
@@ -558,112 +482,36 @@ impl<'a> Engine<'a> {
             }
         }
         let items = (self.decisions[Priority::Structural as usize] - before) as u64;
-        trace.record(
-            "structural",
-            sw.elapsed_ns(),
-            image.text.len() as u64,
-            items,
-        );
-        spans.counter(sp, "decisions", items);
-        spans.end(sp);
-        obs::log::emit(
-            Level::Info,
-            "structural",
-            Some(sp),
-            "phase done",
-            &[("decisions", items.into())],
-        );
+        ph.done(items, &[("decisions", items)]);
     }
 
     /// Statistical hints over every still-undecided region.
-    fn statistical_phase(
-        &mut self,
-        cfg: &Config,
-        text: &[u8],
-        trace: &mut PipelineTrace,
-        spans: &mut SpanSet,
-    ) {
+    fn statistical_phase(&mut self, cfg: &Config, text: &[u8], rec: &mut Recorder) {
         if !cfg.enable_stats {
             return;
         }
         if self.deadline.exceeded() {
-            trace.degradations.push(Degradation {
+            rec.trace.degradations.push(Degradation {
                 phase: "stats.train",
                 limit: LimitKind::Deadline,
                 completed: 0,
             });
             return;
         }
-        let nb = text.len() as u64;
-        let sp = spans.begin("stats.train");
-        let sw = Stopwatch::start();
+        let mut ph = self.phase(rec, "stats.train");
         let (model, train_deg) = match &cfg.model {
             Some(m) => (Some(m.clone()), None),
             None => self_train(text, self.viab, &self.cells, cfg.limits.max_train_tokens),
         };
-        trace.degradations.extend(train_deg);
-        trace.record("stats.train", sw.elapsed_ns(), nb, model.is_some() as u64);
-        spans.counter(sp, "trained", model.is_some() as u64);
-        spans.end(sp);
-        obs::log::emit(
-            Level::Info,
-            "stats.train",
-            Some(sp),
-            "phase done",
-            &[("trained", Value::Bool(model.is_some()))],
-        );
+        ph.degrade(train_deg);
+        let trained = model.is_some() as u64;
+        ph.done(trained, &[("trained", trained)]);
         if let Some(model) = model {
-            let sp = spans.begin("stats.classify");
-            let sw = Stopwatch::start();
-            self.cur_phase = "stats.classify";
+            let ph = self.phase(rec, "stats.classify");
             let before = self.decisions[Priority::Statistical as usize];
-            // Parallel precompute of pure-chain scores. Only worth doing on
-            // an unlimited deadline: a budgeted run degrades mid-pass and the
-            // precompute would burn wall time the sequential pass charges to
-            // its own step counter.
-            let pre = if cfg.threads > 1 && self.deadline.is_unlimited() {
-                let un: Vec<bool> = self.cells.iter().map(|c| c.kind == CellKind::Un).collect();
-                crate::stats::parallel_chain_scores(
-                    self.ss,
-                    self.viab,
-                    &un,
-                    text,
-                    &model,
-                    cfg.enable_defuse,
-                    cfg.threads,
-                )
-            } else {
-                None
-            };
-            let (pre_table, cls_shards, cls_merge) = match pre {
-                Some((t, s, m)) => (Some(t), s, m),
-                None => (None, 1, 0),
-            };
-            self.statistical_pass(
-                &model,
-                text,
-                cfg.llr_threshold,
-                cfg.enable_defuse,
-                pre_table.as_deref(),
-            );
+            self.statistical_pass(&model, text, cfg.llr_threshold, cfg.enable_defuse);
             let items = (self.decisions[Priority::Statistical as usize] - before) as u64;
-            trace.record_sharded(
-                "stats.classify",
-                sw.elapsed_ns(),
-                nb,
-                items,
-                cls_shards,
-                cls_merge,
-            );
-            spans.counter(sp, "decisions", items);
-            spans.end(sp);
-            obs::log::emit(
-                Level::Info,
-                "stats.classify",
-                Some(sp),
-                "phase done",
-                &[("decisions", items.into())],
-            );
+            ph.done(items, &[("decisions", items)]);
         }
     }
 
@@ -881,21 +729,7 @@ impl<'a> Engine<'a> {
     }
 
     /// Statistical classification of every remaining undecided region.
-    ///
-    /// `pre` is an optional table of chain scores precomputed in parallel
-    /// (see [`crate::stats::parallel_chain_scores`]). An entry is reused
-    /// only while its pure chain fits inside the current undecided gap —
-    /// exactly the condition under which [`Self::undecided_chain`] would
-    /// reproduce it — so the pass output is bit-identical with or without
-    /// the table.
-    fn statistical_pass(
-        &mut self,
-        model: &StatModel,
-        text: &[u8],
-        threshold: f64,
-        defuse: bool,
-        pre: Option<&[Option<crate::stats::ChainScore>]>,
-    ) {
+    fn statistical_pass(&mut self, model: &StatModel, text: &[u8], threshold: f64, defuse: bool) {
         let n = self.cells.len();
         let mut o = 0u32;
         while (o as usize) < n {
@@ -932,35 +766,24 @@ impl<'a> Engine<'a> {
                 o += 1;
                 continue;
             }
-            // maximal undecided fall-through chain from o — reuse the
-            // parallel precompute when its pure chain provably matches
-            let pre_hit = pre
-                .and_then(|p| p[o as usize])
-                .filter(|cs| cs.end <= gap_end);
-            let (chain_len, score, chain_end) = match pre_hit {
-                Some(cs) => (cs.len as usize, cs.score, cs.end),
-                None => {
-                    let chain = self.undecided_chain(o, 256);
-                    let classes: Vec<OpClass> =
-                        chain.iter().map(|&c| self.ss.at(c).opclass).collect();
-                    let mut score = model.score_chain(&classes);
-                    if defuse {
-                        let (links, pairs) = crate::behavior::count_links(text, &chain);
-                        score += model.defuse_chain_score(links, pairs);
-                    }
-                    let chain_end = chain
-                        .last()
-                        .map(|&c| c + self.ss.at(c).len as u32)
-                        .unwrap_or(o + 1);
-                    (chain.len(), score, chain_end)
-                }
-            };
+            // maximal undecided fall-through chain from o
+            let chain = self.undecided_chain(o, 256);
+            let classes: Vec<OpClass> = chain.iter().map(|&c| self.ss.at(c).opclass).collect();
+            let mut score = model.score_chain(&classes);
+            if defuse {
+                let (links, pairs) = crate::behavior::count_links(text, &chain);
+                score += model.defuse_chain_score(links, pairs);
+            }
+            let chain_end = chain
+                .last()
+                .map(|&c| c + self.ss.at(c).len as u32)
+                .unwrap_or(o + 1);
             // Long viable chains are themselves strong evidence: random
             // data almost never survives 16+ consecutive decodes without
             // hitting an invalid encoding, so the score bar drops for them.
-            let long_chain = chain_len >= 16;
-            let accept =
-                chain_len > 0 && (score >= threshold || (long_chain && score >= threshold / 3.0));
+            let long_chain = chain.len() >= 16;
+            let accept = !chain.is_empty()
+                && (score >= threshold || (long_chain && score >= threshold / 3.0));
             if accept {
                 self.prov.emit(
                     self.cur_phase,

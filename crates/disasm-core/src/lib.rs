@@ -69,7 +69,7 @@ pub use provenance::{explain, Explanation, Prov};
 pub use report::{FunctionExtent, Report};
 pub use stats::StatModel;
 pub use superset::Superset;
-pub use trace::{PhaseStat, PipelineTrace};
+pub use trace::{PhaseStat, PipelineTrace, Recorder};
 
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -217,11 +217,11 @@ pub struct Config {
     /// site, keeping the bench overhead budget intact.
     pub collect_provenance: bool,
     /// Worker threads for the parallel phases (sharded superset decode,
-    /// parallel viability fixpoint, parallel statistical scoring). `1`
-    /// reproduces the sequential path bit-for-bit; any other value
-    /// produces *identical output* — only wall time changes. Defaults to
-    /// [`par::default_threads`] (the `METADIS_THREADS` environment
-    /// variable, else the machine's available parallelism).
+    /// parallel viability fixpoint). `1` reproduces the sequential path
+    /// bit-for-bit; any other value produces *identical output* — only
+    /// wall time changes. Defaults to [`par::default_threads`] (the
+    /// `METADIS_THREADS` environment variable, else the machine's
+    /// available parallelism).
     pub threads: usize,
     /// Test hook: panic inside the pipeline to exercise the
     /// `catch_unwind` → linear-sweep fallback path. Not part of the public
@@ -345,8 +345,9 @@ impl Disassembler {
 /// Produces a fully classified (if unsophisticated) result so callers
 /// always receive a [`Disassembly`] covering every text byte.
 fn fallback_linear(image: &Image, collect_provenance: bool) -> Disassembly {
-    let sw = obs::Stopwatch::start();
     let text = &image.text;
+    let mut rec = Recorder::start(text.len() as u64);
+    let ph = rec.phase("fallback.linear");
     let mut byte_class = vec![ByteClass::Data; text.len()];
     let mut inst_starts = Vec::new();
     let mut pos = 0usize;
@@ -364,33 +365,18 @@ fn fallback_linear(image: &Image, collect_provenance: bool) -> Disassembly {
             Err(_) => pos += 1,
         }
     }
-    let mut trace = PipelineTrace::new();
-    trace.record(
-        "fallback.linear",
-        sw.elapsed_ns(),
-        text.len() as u64,
-        inst_starts.len() as u64,
-    );
-    trace.degradations.push(Degradation {
+    let items = inst_starts.len() as u64;
+    ph.done(items, &[("items", items)]);
+    rec.trace.degradations.push(Degradation {
         phase: "pipeline",
         limit: LimitKind::PhasePanicked,
         completed: 0,
     });
-    trace.total_wall_ns = sw.elapsed_ns();
-    trace.text_bytes = text.len() as u64;
-    trace.runs = 1;
-    let mut spans = obs::SpanSet::new();
-    let root = spans.begin("pipeline");
-    let fb = spans.begin("fallback.linear");
-    spans.counter(fb, "items", inst_starts.len() as u64);
-    spans.end(fb);
-    spans.end(root);
-    trace.spans = spans.finish();
-    trace.adopt_root_alloc();
+    let trace = rec.finish();
     obs::log::warn(
         "fallback.linear",
         "linear-sweep fallback complete",
-        &[("instructions", (inst_starts.len() as u64).into())],
+        &[("instructions", items.into())],
     );
     let mut prov = Prov::new(collect_provenance);
     prov.emit(
@@ -400,7 +386,7 @@ fn fallback_linear(image: &Image, collect_provenance: bool) -> Disassembly {
         text.len() as u32,
         provenance::NO_CLASS,
         0,
-        inst_starts.len() as f32,
+        items as f32,
         obs::provenance::NO_CAUSE,
     );
     let func_starts = image

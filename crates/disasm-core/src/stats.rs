@@ -341,105 +341,6 @@ impl StatModel {
     }
 }
 
-/// One precomputed fall-through chain score (see [`parallel_chain_scores`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct ChainScore {
-    /// One past the last byte of the chain (`start + sum of lengths`;
-    /// chains are contiguous, so this is also the chain end offset).
-    pub end: u32,
-    /// Chain length in instructions (≥ 1).
-    pub len: u32,
-    /// The full statistical score: average per-instruction Markov LLR plus
-    /// (when enabled) the def-use chain component — computed with exactly
-    /// the same calls, in the same order, as the sequential classifier.
-    pub score: f64,
-}
-
-/// Parallel precomputation of statistical chain scores for the classifier.
-///
-/// For every offset that is undecided (`un`), valid, and viable, walk the
-/// *pure* fall-through chain — constrained by validity, viability, flow
-/// breaks and the 256-instruction cap, but **not** by the classifier's
-/// evolving per-byte decisions — and score it. Scoring is read-only over
-/// the trained model, so offsets shard freely across worker threads.
-///
-/// The classifier can reuse an entry only while its chain is provably
-/// identical to what the sequential walk would produce: a pure chain
-/// occupies the contiguous range `[o, end)`, so if `end` does not extend
-/// past the current undecided gap, every byte the chain touches is still
-/// undecided and the decision-aware walk degenerates to the pure walk.
-/// Entries failing that test are recomputed sequentially, keeping the
-/// output bit-identical to a `threads = 1` run.
-///
-/// Returns `(scores, shards, merge_wall_ns)`, or `None` when the input is
-/// too small to shard profitably (the caller stays sequential).
-#[allow(clippy::type_complexity)]
-pub fn parallel_chain_scores(
-    ss: &crate::superset::Superset,
-    viab: &crate::viability::Viability,
-    un: &[bool],
-    text: &[u8],
-    model: &StatModel,
-    defuse: bool,
-    threads: usize,
-) -> Option<(Vec<Option<ChainScore>>, u64, u64)> {
-    let n = un.len();
-    let shards = crate::par::shard_count(n, threads, crate::par::MIN_SHARD_BYTES);
-    if shards <= 1 {
-        return None;
-    }
-    let ranges = crate::par::shard_ranges(n, shards);
-    let parts = crate::par::run_jobs("stats.chain.shard", ranges.len(), threads, |i| {
-        let (start, end) = ranges[i];
-        let mut part: Vec<Option<ChainScore>> = Vec::with_capacity(end - start);
-        let mut chain: Vec<u32> = Vec::new();
-        let mut classes: Vec<OpClass> = Vec::new();
-        for o in start..end {
-            let o32 = o as u32;
-            if !un[o] || !ss.at(o32).is_valid() || !viab.is_viable(o32) {
-                part.push(None);
-                continue;
-            }
-            chain.clear();
-            let mut cur = o32;
-            while chain.len() < 256 {
-                match ss.get(cur) {
-                    Some(c) if c.is_valid() && viab.is_viable(cur) => c,
-                    _ => break,
-                };
-                chain.push(cur);
-                match ss.fallthrough(cur) {
-                    Some(next) => cur = next,
-                    None => break,
-                }
-            }
-            classes.clear();
-            classes.extend(chain.iter().map(|&c| ss.at(c).opclass));
-            let mut score = model.score_chain(&classes);
-            if defuse {
-                let (links, pairs) = crate::behavior::count_links(text, &chain);
-                score += model.defuse_chain_score(links, pairs);
-            }
-            let end_off = chain
-                .last()
-                .map(|&c| c + ss.at(c).len as u32)
-                .unwrap_or(o32 + 1);
-            part.push(Some(ChainScore {
-                end: end_off,
-                len: chain.len() as u32,
-                score,
-            }));
-        }
-        part
-    });
-    let sw = obs::Stopwatch::start();
-    let mut table = Vec::with_capacity(n);
-    for p in parts {
-        table.extend(p);
-    }
-    Some((table, shards as u64, sw.elapsed_ns()))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

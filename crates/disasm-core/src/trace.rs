@@ -5,7 +5,9 @@
 //! phase, the viability fixpoint iteration count, and the number of
 //! corrections applied per [`Priority`] class. Tracing is always on — it is
 //! a handful of monotonic clock reads per run — while the heavier global
-//! counters/histograms in [`obs`] stay behind [`obs::enabled`].
+//! counters/histograms in [`obs`] stay behind [`obs::enabled`]. Each phase
+//! is recorded by one [`Phase`] guard of a [`Recorder`], which writes the
+//! phase's row, span and log line from the same clock.
 //!
 //! Phase names are a stable, documented contract (consumed by the CLI's
 //! `--trace-json` schema `metadis.trace.v6` and by the bench JSON records):
@@ -22,7 +24,8 @@
 //! | `padding`        | padding-run sweep |
 //! | `default`        | leftover-bytes-are-data rule |
 //!
-//! Baseline tools record a single coarse phase named after the tool, and
+//! Baseline tools record a single coarse phase named after the tool (with
+//! its span under the `pipeline` root, like every phase), and
 //! the CLI appends a `cfg` phase when it builds a control-flow graph. A
 //! `fallback.linear` phase appears only when a pipeline phase panicked and
 //! the run degraded to the linear-sweep fallback.
@@ -64,7 +67,8 @@ use crate::correct::Priority;
 use crate::limits::Degradation;
 use crate::Disassembly;
 use obs::json::JsonWriter;
-use obs::TextTable;
+use obs::log::{Level, Value};
+use obs::{SpanSet, TextTable};
 
 /// Schema tag of the trace report JSON ([`trace_report_json`] /
 /// [`merged_report_json`]).
@@ -75,7 +79,8 @@ pub const SCHEMA: &str = "metadis.trace.v6";
 pub struct PhaseStat {
     /// Stable phase name (see the module table).
     pub name: &'static str,
-    /// Wall time spent in the phase, nanoseconds.
+    /// Wall time spent in the phase, nanoseconds (its span's `wall_ns`
+    /// when recorded by a [`Phase`]).
     pub wall_ns: u64,
     /// Bytes the phase processed (usually the text size).
     pub bytes: u64,
@@ -242,15 +247,25 @@ impl PipelineTrace {
                 .worker_utilization
                 .min(other.timeline.worker_utilization)
         };
-        // Keep span IDs unique across the merged trace: re-base the other
-        // trace's IDs past our current maximum so parent links stay intact.
-        let base = self.spans.iter().map(|s| s.id + 1).max().unwrap_or(0);
-        for s in &other.spans {
-            let mut s = s.clone();
+        self.append_spans(other.spans.iter().cloned(), 0);
+    }
+
+    /// Append spans recorded against another origin, keeping span IDs
+    /// unique: the IDs are re-based past our current maximum so parent
+    /// links stay intact, and start offsets shift by `start_ns`.
+    fn append_spans(&mut self, spans: impl IntoIterator<Item = obs::Span>, start_ns: u64) {
+        let base = self.next_span_id();
+        for mut s in spans {
             s.id += base;
             s.parent = s.parent.map(|p| p + base);
+            s.start_ns += start_ns;
             self.spans.push(s);
         }
+    }
+
+    /// The ID past every span already in the trace.
+    fn next_span_id(&self) -> u32 {
+        self.spans.iter().map(|s| s.id + 1).max().unwrap_or(0)
     }
 
     /// `true` when any phase hit a budget (the result is partial).
@@ -369,6 +384,158 @@ impl PipelineTrace {
                 "alloc_peak" => self.alloc_peak = *v,
                 _ => {}
             }
+        }
+    }
+}
+
+/// Records one run into a [`PipelineTrace`] on a single clock.
+///
+/// Every phase is one [`obs::Span`]; the [`Phase`] guard that closes it
+/// writes the matching [`PhaseStat`] row (same name, `wall_ns` equal to the
+/// span's), pushes the phase's counters onto the span and logs one
+/// `"phase done"` line with the same fields. Through [`SpanSet`] each span
+/// also opens an allocation window and mirrors into the flight recorder.
+/// The root `pipeline` span works the same way: its wall time is the
+/// trace's `total_wall_ns` and its allocation window the trace's
+/// `alloc_bytes`/`alloc_peak`.
+#[derive(Debug)]
+pub struct Recorder {
+    /// The trace being built; each phase appends its row when it closes.
+    pub(crate) trace: PipelineTrace,
+    spans: SpanSet,
+    /// ID the trace gives this recorder's first span (spans already in
+    /// the trace keep theirs).
+    span_base: u32,
+    /// The root `pipeline` span (`None` when appending to a finished run).
+    root: Option<u32>,
+    tl_mark: obs::timeline::Mark,
+}
+
+impl Recorder {
+    /// Start recording one run over `text_bytes` bytes: opens the root
+    /// `pipeline` span.
+    pub fn start(text_bytes: u64) -> Recorder {
+        let tl_mark = obs::timeline::mark();
+        let mut spans = SpanSet::new();
+        let root = Some(spans.begin("pipeline"));
+        let trace = PipelineTrace {
+            text_bytes,
+            runs: 1,
+            ..PipelineTrace::default()
+        };
+        Recorder {
+            trace,
+            spans,
+            span_base: 0,
+            root,
+            tl_mark,
+        }
+    }
+
+    /// Reopen a finished trace to append phases that run after the
+    /// pipeline (the CLI's `cfg`). No root span opens and the run totals
+    /// stay as they are; the new spans follow the trace's existing ones.
+    pub fn resume(trace: PipelineTrace) -> Recorder {
+        Recorder {
+            span_base: trace.next_span_id(),
+            trace,
+            spans: SpanSet::new(),
+            root: None,
+            tl_mark: obs::timeline::mark(),
+        }
+    }
+
+    /// ID of the root span, for log lines about the whole run.
+    pub(crate) fn root(&self) -> Option<u32> {
+        self.root
+    }
+
+    /// Open phase `name`, nested under the root span. The phase processes
+    /// the trace's `text_bytes`.
+    pub fn phase(&mut self, name: &'static str) -> Phase<'_> {
+        let span = self.spans.begin(name);
+        Phase {
+            rec: self,
+            name,
+            span,
+            shards: 1,
+            merge_wall_ns: 0,
+        }
+    }
+
+    /// Close the root span and return the finished trace, with its spans,
+    /// its allocation totals and (when the flight recorder is on) the
+    /// timeline analysis of the run.
+    pub fn finish(mut self) -> PipelineTrace {
+        if let Some(root) = self.root {
+            self.trace.total_wall_ns = self.spans.end(root);
+        }
+        let after = self
+            .trace
+            .spans
+            .iter()
+            .map(|s| s.start_ns + s.wall_ns)
+            .max()
+            .unwrap_or(0);
+        self.trace.append_spans(self.spans.finish(), after);
+        if self.root.is_some() {
+            self.trace.adopt_root_alloc();
+            if obs::timeline::enabled() {
+                self.trace.timeline =
+                    obs::chrome::summarize(&obs::timeline::snapshot_since(self.tl_mark));
+            }
+        }
+        self.trace
+    }
+}
+
+/// One phase in flight, opened by [`Recorder::phase`] and recorded into
+/// every sink by [`Phase::done`].
+#[must_use = "a phase is recorded only when `done` closes it"]
+pub struct Phase<'r> {
+    rec: &'r mut Recorder,
+    name: &'static str,
+    span: u32,
+    shards: u64,
+    merge_wall_ns: u64,
+}
+
+impl Phase<'_> {
+    /// Record the budget hits the phase ran into.
+    pub(crate) fn degrade(&mut self, degradations: impl IntoIterator<Item = Degradation>) {
+        self.rec.trace.degradations.extend(degradations);
+    }
+
+    /// Record that the phase ran as `shards` shards whose results took
+    /// `merge_wall_ns` to merge (a phase is one shard unless told).
+    pub(crate) fn sharded(&mut self, shards: u64, merge_wall_ns: u64) {
+        self.shards = shards;
+        self.merge_wall_ns = merge_wall_ns;
+    }
+
+    /// Close the phase: `counters` go onto its span and into its
+    /// `"phase done"` log line, and its [`PhaseStat`] row gets `items` and
+    /// the span's wall time.
+    pub fn done(self, items: u64, counters: &[(&'static str, u64)]) {
+        let Phase {
+            rec,
+            name,
+            span,
+            shards,
+            merge_wall_ns,
+        } = self;
+        for &(k, v) in counters {
+            rec.spans.counter(span, k, v);
+        }
+        let wall_ns = rec.spans.end(span);
+        let bytes = rec.trace.text_bytes;
+        rec.trace
+            .record_sharded(name, wall_ns, bytes, items, shards, merge_wall_ns);
+        if obs::log::enabled(Level::Info) {
+            let fields: Vec<(&str, Value)> =
+                counters.iter().map(|&(k, v)| (k, Value::U64(v))).collect();
+            let id = rec.span_base + span;
+            obs::log::emit(Level::Info, name, Some(id), "phase done", &fields);
         }
     }
 }
@@ -695,6 +862,24 @@ mod tests {
             ),
             "{s}"
         );
+    }
+
+    #[test]
+    fn resumed_recorder_appends_after_the_run() {
+        let mut rec = Recorder::start(64);
+        rec.phase("superset").done(3, &[("candidates", 3)]);
+        let run = rec.finish();
+        let mut rec = Recorder::resume(run.clone());
+        rec.phase("cfg").done(2, &[("blocks", 2)]);
+        let t = rec.finish();
+        let names: Vec<&str> = t.phases.iter().map(|p| p.name).collect();
+        assert_eq!(names, ["superset", "cfg"]);
+        assert_eq!(t.total_wall_ns, run.total_wall_ns);
+        let cfg = t.spans.last().unwrap();
+        assert_eq!((cfg.id, cfg.parent), (2, None));
+        assert_eq!(cfg.wall_ns, t.phase("cfg").unwrap().wall_ns);
+        assert_eq!(cfg.counters, vec![("blocks", 2)]);
+        assert!(cfg.start_ns >= t.spans[0].wall_ns);
     }
 
     #[test]

@@ -1,7 +1,9 @@
-//! End-to-end pipeline trace checks: phase names are a stable contract, and
-//! the trace's correction counters agree with the correction log.
+//! End-to-end pipeline trace checks: phase names are a stable contract,
+//! every phase row is its span, and the trace's correction counters agree
+//! with the correction log.
 
-use disasm_core::{Config, Disassembler, Image, Priority};
+use disasm_baselines::Baseline;
+use disasm_core::{Config, Disassembler, Image, PipelineTrace, Priority};
 
 /// Phase names recorded by a default-config pipeline run, in execution
 /// order. This list is part of the `metadis.trace.v3` schema — changing it
@@ -51,6 +53,56 @@ fn trace_totals_are_consistent() {
     // superset items = valid candidates, bounded by text size
     let ss = d.trace.phase("superset").unwrap();
     assert!(ss.items > 0 && ss.items <= d.trace.text_bytes);
+
+    // one clock per phase, on every path that produces a trace
+    for threads in [1, 2] {
+        let cfg = Config {
+            threads,
+            ..Config::default()
+        };
+        let d = Disassembler::new(cfg).disassemble(&image);
+        assert_phases_are_spans(&format!("threads={threads}"), &d.trace);
+    }
+    let cfg = Config {
+        inject_panic: true,
+        ..Config::default()
+    };
+    let d = Disassembler::new(cfg).disassemble(&image);
+    assert!(d.trace.phase("fallback.linear").is_some());
+    assert_phases_are_spans("fallback", &d.trace);
+    for b in Baseline::ALL {
+        assert_phases_are_spans(b.name(), &b.disassemble(&image).trace);
+    }
+}
+
+/// Every phase row has a span of the same name and wall time whose
+/// counters include the row's item count (0 for a span without counters),
+/// and the run total is the root span's wall time.
+fn assert_phases_are_spans(run: &str, t: &PipelineTrace) {
+    let root = t.spans.first().expect("root span");
+    assert_eq!(root.parent, None, "{run}");
+    assert_eq!(t.total_wall_ns, root.wall_ns, "{run}: total vs root span");
+    for p in &t.phases {
+        let span = t
+            .spans
+            .iter()
+            .find(|s| s.name == p.name)
+            .unwrap_or_else(|| panic!("{run}: no span for phase {}", p.name));
+        assert_eq!(p.wall_ns, span.wall_ns, "{run}: phase {}", p.name);
+        let counters: Vec<u64> = span
+            .counters
+            .iter()
+            .filter(|(k, _)| !k.starts_with("alloc_"))
+            .map(|&(_, v)| v)
+            .collect();
+        assert!(
+            counters.contains(&p.items) || (counters.is_empty() && p.items == 0),
+            "{run}: phase {} items {} not among span counters {:?}",
+            p.name,
+            p.items,
+            span.counters
+        );
+    }
 }
 
 #[test]

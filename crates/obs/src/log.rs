@@ -18,10 +18,6 @@
 //!   emitted (16 lowercase hex digits), or `null` outside any request.
 //! * `fields` — structured key=value payload, in emission order.
 //!
-//! v2 is v1 plus the `req_id` member: stripping `req_id` and retagging the
-//! schema yields a byte-valid v1 line ([`downgrade_line_to_v1`]), so v1
-//! consumers keep working on downgraded streams.
-//!
 //! The global logger is off by default ([`level`] returns `None`) and a
 //! disabled emission costs one relaxed atomic load. When enabled, every
 //! record lands in a bounded in-memory ring buffer (oldest lines drop
@@ -50,9 +46,6 @@ use std::sync::Mutex;
 
 /// The schema tag stamped on every log line.
 pub const SCHEMA: &str = "metadis.log.v2";
-
-/// The previous schema tag, still produced by [`downgrade_line_to_v1`].
-pub const SCHEMA_V1: &str = "metadis.log.v1";
 
 /// Default ring-buffer capacity in lines.
 pub const DEFAULT_RING_CAP: usize = 1024;
@@ -194,35 +187,6 @@ pub fn format_line(
     w.end_obj();
     w.end_obj();
     w.finish()
-}
-
-/// Downgrade one v2 line to a byte-valid `metadis.log.v1` line: strip the
-/// `req_id` member and retag the schema, preserving everything else in
-/// order. Returns `None` if `line` is not a v2 object.
-pub fn downgrade_line_to_v1(line: &str) -> Option<String> {
-    let doc = crate::json::parse(line).ok()?;
-    let members = match &doc {
-        crate::json::JsonValue::Obj(members) => members,
-        _ => return None,
-    };
-    if doc.get("schema").and_then(|v| v.as_str()) != Some(SCHEMA) {
-        return None;
-    }
-    let kept: Vec<(String, crate::json::JsonValue)> = members
-        .iter()
-        .filter(|(k, _)| k != "req_id")
-        .map(|(k, v)| {
-            if k == "schema" {
-                (
-                    k.clone(),
-                    crate::json::JsonValue::Str(SCHEMA_V1.to_string()),
-                )
-            } else {
-                (k.clone(), v.clone())
-            }
-        })
-        .collect();
-    Some(crate::json::JsonValue::Obj(kept).to_json())
 }
 
 /// Level encoding in the atomic: 255 = off.
@@ -451,25 +415,6 @@ mod tests {
             line,
             r#"{"schema":"metadis.log.v2","ts_ns":0,"level":"info","phase":"cli","span":null,"req_id":null,"msg":"start","fields":{}}"#
         );
-    }
-
-    #[test]
-    fn downgrade_strips_req_id_and_retags() {
-        let v2 = format_line(7, Level::Info, "serve", Some(1), 0x4d2, "request done", &[]);
-        let v1 = downgrade_line_to_v1(&v2).unwrap();
-        assert_eq!(
-            v1,
-            r#"{"schema":"metadis.log.v1","ts_ns":7,"level":"info","phase":"serve","span":1,"msg":"request done","fields":{}}"#
-        );
-        // null req_id strips identically
-        let v2 = format_line(7, Level::Info, "serve", None, 0, "x", &[]);
-        assert!(!downgrade_line_to_v1(&v2).unwrap().contains("req_id"));
-        // non-v2 input is refused, not mangled
-        assert_eq!(
-            downgrade_line_to_v1(&downgrade_line_to_v1(&v2).unwrap()),
-            None
-        );
-        assert_eq!(downgrade_line_to_v1("not json"), None);
     }
 
     #[test]

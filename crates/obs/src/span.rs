@@ -133,14 +133,16 @@ impl SpanSet {
         Some(id)
     }
 
-    /// Close span `id` (and any still-open spans nested inside it).
-    pub fn end(&mut self, id: u32) {
+    /// Close span `id` (and any still-open spans nested inside it) and
+    /// return its wall time in nanoseconds.
+    pub fn end(&mut self, id: u32) -> u64 {
         let now = self.now_ns();
         while let Some(closed) = self.close_top(now) {
             if closed == id {
                 break;
             }
         }
+        self.spans.get(id as usize).map_or(0, |s| s.wall_ns)
     }
 
     /// Attach (or bump) a counter on span `id`.

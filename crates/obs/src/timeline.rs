@@ -29,7 +29,7 @@
 //! ```
 
 use std::cell::{Cell, RefCell};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::OnceLock;
 use std::time::Instant;
 
@@ -63,8 +63,8 @@ pub enum EventKind {
 pub struct Event {
     /// Monotonic nanoseconds since the process-wide timeline origin.
     pub ts_ns: u64,
-    /// Recording lane: `0` for the first lazily-registered thread (in
-    /// practice the main thread), worker lanes pinned via [`set_lane`].
+    /// Recording lane: `0` for any thread not pinned via [`set_lane`]
+    /// (the coordinating thread), worker lanes as pinned.
     pub tid: u32,
     /// Begin / End / Instant.
     pub kind: EventKind,
@@ -83,12 +83,11 @@ pub struct Event {
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 static ORIGIN: OnceLock<Instant> = OnceLock::new();
-static NEXT_LAZY_TID: AtomicU32 = AtomicU32::new(0);
 static DROPPED: AtomicU64 = AtomicU64::new(0);
 
 thread_local! {
     static RING: RefCell<Vec<Event>> = const { RefCell::new(Vec::new()) };
-    static TID: Cell<u32> = const { Cell::new(NO_SHARD) };
+    static TID: Cell<u32> = const { Cell::new(0) };
 }
 
 fn origin() -> Instant {
@@ -115,17 +114,12 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
 
-/// This thread's recording lane. Lazily registered threads take the next
-/// free ordinal (the main thread, recording first, gets lane 0); worker
-/// threads are pinned to stable lanes by [`set_lane`] so a worker index
-/// maps to the same lane across every parallel phase.
+/// This thread's recording lane: 0 unless pinned by [`set_lane`]. Worker
+/// threads are pinned to stable lanes so a worker index maps to the same
+/// lane across every parallel phase; every other thread records on lane 0
+/// (each runs its own pipeline, and its events stay in its own ring).
 pub fn lane() -> u32 {
-    TID.with(|t| {
-        if t.get() == NO_SHARD {
-            t.set(NEXT_LAZY_TID.fetch_add(1, Ordering::Relaxed));
-        }
-        t.get()
-    })
+    TID.with(Cell::get)
 }
 
 /// Pin this thread's recording lane (worker `w` conventionally records on

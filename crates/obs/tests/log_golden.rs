@@ -1,28 +1,18 @@
-//! Golden-file pinning of the `metadis.log.v2` line encoding — and of the
-//! v2→v1 downgrade path.
+//! Golden-file pinning of the `metadis.log.v2` line encoding.
 //!
 //! [`obs::log::format_line`] is pure (no clocks, no global state), so a
 //! fixed set of records must serialize byte-for-byte to the checked-in
 //! golden forever. Changing any byte of the encoding is a schema break and
 //! needs a new schema tag, not a blessed golden.
 //!
-//! The v1 golden is retained: [`obs::log::downgrade_line_to_v1`] applied
-//! to every v2 line must reproduce it byte-for-byte, proving the
-//! downgrade-by-stripping contract (v2 = v1 + `req_id`, nothing else).
-//!
 //! Regenerate after an *intentional* schema change with
 //! `BLESS=1 cargo test -p obs --test log_golden`.
 
-use obs::log::{downgrade_line_to_v1, format_line, Level, Value};
+use obs::log::{format_line, Level, Value};
 
 const GOLDEN_V2: &str = concat!(
     env!("CARGO_MANIFEST_DIR"),
     "/tests/data/log_v2_golden.jsonl"
-);
-
-const GOLDEN_V1: &str = concat!(
-    env!("CARGO_MANIFEST_DIR"),
-    "/tests/data/log_v1_golden.jsonl"
 );
 
 /// One record per level, exercising every field shape: with and without a
@@ -96,24 +86,6 @@ fn log_v2_lines_match_golden_byte_for_byte() {
 }
 
 #[test]
-fn downgraded_v2_lines_match_the_v1_golden_byte_for_byte() {
-    let mut got = sample_lines()
-        .iter()
-        .map(|l| downgrade_line_to_v1(l).expect("every v2 line downgrades"))
-        .collect::<Vec<_>>()
-        .join("\n");
-    got.push('\n');
-    if std::env::var_os("BLESS").is_some() {
-        std::fs::write(GOLDEN_V1, &got).unwrap();
-    }
-    let want = std::fs::read_to_string(GOLDEN_V1).unwrap();
-    assert_eq!(
-        got, want,
-        "v2→v1 downgrade drifted from the pinned metadis.log.v1 golden"
-    );
-}
-
-#[test]
 fn golden_lines_are_well_formed_records() {
     let text = std::fs::read_to_string(GOLDEN_V2).unwrap();
     let lines: Vec<&str> = text.lines().collect();
@@ -140,15 +112,5 @@ fn golden_lines_are_well_formed_records() {
         .zip(["trace", "debug", "info", "warn", "error"])
     {
         assert!(line.contains(&format!(r#""level":"{level}""#)), "{line}");
-    }
-    // the v1 golden stays req_id-free and v1-tagged
-    let v1 = std::fs::read_to_string(GOLDEN_V1).unwrap();
-    assert_eq!(v1.lines().count(), 5);
-    for line in v1.lines() {
-        assert!(
-            line.starts_with(r#"{"schema":"metadis.log.v1","ts_ns":"#),
-            "{line}"
-        );
-        assert!(!line.contains("req_id"), "{line}");
     }
 }

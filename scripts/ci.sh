@@ -17,6 +17,14 @@ cargo build --workspace --release --offline
 echo "== cargo test"
 cargo test --workspace -q --offline
 
+echo "== timeline lane stability (profile_e2e x10)"
+# The Chrome-trace test runs the profiler next to other test threads; it
+# used to lose its "main" lane when those threads raced for lane numbers.
+# Ten clean runs in a row keep that race fixed.
+for _ in $(seq 1 10); do
+  cargo test -q --offline --test profile_e2e
+done
+
 echo "== prescan/decode differential fuzz gate (release)"
 # The superset builder trusts the branchless prescan_window fast path for
 # length, class, flow and displacement at every byte offset. Re-prove, in

@@ -49,7 +49,7 @@
 
 use bingen::{GenConfig, OptProfile, Workload};
 use disasm_baselines::Baseline;
-use disasm_core::{cfg::Cfg, Config, Disassembler, Disassembly, Image, ListingOptions};
+use disasm_core::{cfg::Cfg, Config, Disassembler, Disassembly, Image, ListingOptions, Recorder};
 use std::fmt::Write as _;
 
 /// What kind of failure a [`CliError`] represents. Each category maps to a
@@ -585,7 +585,11 @@ fn positional<'a>(rest: &'a [&String]) -> Option<&'a str> {
     positionals(rest).first().copied()
 }
 
-fn load_image(path: &str) -> Result<Image, CliError> {
+/// Read the ELF file at `path` into an analysis [`Image`]. Fails with
+/// [`ErrorCategory::Io`] when the file cannot be read and with
+/// [`ErrorCategory::Parse`] when it is not an ELF with an executable
+/// section.
+pub fn load_image(path: &str) -> Result<Image, CliError> {
     let bytes = std::fs::read(path).map_err(|e| io_err(format!("cannot read '{path}': {e}")))?;
     let elf =
         elfobj::Elf::parse(&bytes).map_err(|e| parse_err(format!("cannot parse '{path}': {e}")))?;
@@ -837,14 +841,11 @@ fn cmd_cfg(rest: &[&String]) -> Result<CmdOutput, CliError> {
     let cfg = build_config(rest)?;
     let image = load_image(path)?;
     let mut d = Disassembler::new(cfg).disassemble(&image);
-    let sw = obs::Stopwatch::start();
+    let mut rec = Recorder::resume(std::mem::take(&mut d.trace));
+    let ph = rec.phase("cfg");
     let g = Cfg::build(&image, &d);
-    d.trace.record(
-        "cfg",
-        sw.elapsed_ns(),
-        image.text.len() as u64,
-        g.len() as u64,
-    );
+    ph.done(g.len() as u64, &[("blocks", g.len() as u64)]);
+    d.trace = rec.finish();
     let mut out = String::new();
     let edges: usize = g.blocks().map(|b| b.succs.len()).sum();
     let _ = writeln!(

@@ -85,9 +85,10 @@
 //! fed by `metadis serve` from stdin, a file, or a watched directory) rides
 //! the same engine and counters. Everything is standard library only.
 
+use crate::cli::{load_image, CliError};
 use crate::http::{self, RequestParser};
 use disasm_core::limits::Deadline;
-use disasm_core::{Config, Disassembler, Image};
+use disasm_core::{Config, Disassembler};
 use obs::ctx::RequestId;
 use obs::log::Value;
 use obs::series::{Sample, SeriesRing};
@@ -560,7 +561,7 @@ impl Server {
     /// Disassemble the ELF at `path` with `cfg`, folding the run into the
     /// service counters and emitting request-scoped log events.
     pub fn process_path(&self, path: &str, cfg: &Config) -> Result<RequestSummary, String> {
-        process_on(&self.state, path, cfg, EP_BATCH)
+        process_on(&self.state, path, cfg, EP_BATCH).map_err(|e| e.message)
     }
 
     /// Disassemble a batch of ELF paths concurrently on a bounded worker
@@ -659,7 +660,7 @@ impl Drop for Server {
 /// the run into the service counters, the latency histogram, the flight
 /// buffer, and the structured log. Shared by the batch entry points
 /// (`ep` = [`EP_BATCH`]) and the dispatcher's HTTP jobs ([`EP_ANALYZE`]).
-fn process_on(st: &State, path: &str, cfg: &Config, ep: usize) -> Result<RequestSummary, String> {
+fn process_on(st: &State, path: &str, cfg: &Config, ep: usize) -> Result<RequestSummary, CliError> {
     let req_id = obs::ctx::current_raw();
     let log_mark = obs::log::seq();
     obs::log::info(
@@ -683,7 +684,7 @@ fn process_on(st: &State, path: &str, cfg: &Config, ep: usize) -> Result<Request
                 "request failed",
                 &[
                     ("path", Value::Str(path.to_string())),
-                    ("error", Value::Str(e.clone())),
+                    ("error", Value::Str(e.message.clone())),
                 ],
             );
             retain_request(
@@ -890,13 +891,6 @@ fn dump_flight(st: &State, reason: &str, path: &str) {
     }
 }
 
-/// Read ELF bytes at `path` into an [`Image`].
-fn load_image(path: &str) -> Result<Image, String> {
-    let bytes = std::fs::read(path).map_err(|e| format!("cannot read '{path}': {e}"))?;
-    let elf = elfobj::Elf::parse(&bytes).map_err(|e| format!("cannot parse '{path}': {e}"))?;
-    Image::from_elf(&elf).ok_or_else(|| format!("'{path}' has no executable section"))
-}
-
 // ---------------------------------------------------------------------------
 // Dispatcher: admission queue -> worker pool
 // ---------------------------------------------------------------------------
@@ -986,18 +980,11 @@ fn handle_job(st: &State, job: &Job, cfg: &Config) -> Vec<u8> {
             w.end_obj();
             respond("200 OK", "application/json", &w.finish())
         }
-        Err(e) => {
-            let category = if e.starts_with("cannot read") {
-                "io"
-            } else {
-                "parse"
-            };
-            respond(
-                "422 Unprocessable Entity",
-                "application/json",
-                &error_body(&e, category),
-            )
-        }
+        Err(e) => respond(
+            "422 Unprocessable Entity",
+            "application/json",
+            &error_body(&e.message, e.category.name()),
+        ),
     }
 }
 
