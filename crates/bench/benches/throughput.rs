@@ -2,7 +2,7 @@
 //!
 //! Times the raw decode loop, the superset/viability stages, every baseline,
 //! and the full pipeline on one 200-function workload, prints a throughput
-//! table, and writes the measurements as a `metadis.trace.v6` record
+//! table, and writes the measurements as a `metadis.trace.v7` record
 //! (`BENCH_throughput.json`) — the same schema the CLI's `--trace-json`
 //! emits. Set `QUICK=1` for a reduced iteration count.
 //!
@@ -102,7 +102,6 @@ fn main() {
         "per-stage and per-tool wall time on a 200-function O2 workload",
         "superset-based tools pay a constant factor over linear sweep",
     );
-    obs::set_enabled(true);
     let iters = if bench::quick() { 2 } else { 5 };
     let w = workload();
     let image = image_of(&w);
@@ -227,24 +226,15 @@ fn main() {
     print!("{}", t.render());
     println!("\n(best of {iters} runs over {nb} text bytes)");
 
-    // Parseable stage/scaling summaries (consumed by scripts/bench-check.sh)
-    // plus counters in the perf record so the JSON carries them too.
+    // Parseable stage/scaling summaries (consumed by scripts/bench-check.sh);
+    // the perf record carries the underlying stage and per-thread traces.
     let superset_bps = nb as f64 * 1e9 / superset_ns.max(1) as f64;
     println!("superset-build bytes/sec = {superset_bps:.0}");
-    obs::global().add("bench.superset_bytes_per_sec", superset_bps as u64);
     let speedup2 = scale_ns[0] as f64 / scale_ns[1].max(1) as f64;
     let speedup4 = scale_ns[0] as f64 / scale_ns[2].max(1) as f64;
     println!("parallel scaling corpus: {} bytes", scale_w.text.len());
     println!("parallel speedup(2) = {speedup2:.2}x");
     println!("parallel speedup(4) = {speedup4:.2}x");
-    obs::global().add(
-        "bench.parallel_speedup_x100_threads2",
-        (speedup2 * 100.0) as u64,
-    );
-    obs::global().add(
-        "bench.parallel_speedup_x100_threads4",
-        (speedup4 * 100.0) as u64,
-    );
 
     let overhead = on_ns as f64 / off_ns as f64 - 1.0;
     println!(
@@ -260,7 +250,7 @@ fn main() {
         prof_ns as f64 / 1e6
     );
 
-    let json = merged_report_json("bench.throughput", &tools, &obs::global().snapshot());
+    let json = merged_report_json("bench.throughput", &tools);
     bench::emit_bench_json("throughput", &json).expect("write perf record");
 
     // the telemetry layer must stay effectively free: <5% wall overhead,

@@ -52,10 +52,6 @@ fn main() {
     }
     print!("{}", t.render());
 
-    let json = disasm_core::trace::merged_report_json(
-        "bench.fig2_scaling",
-        &traces,
-        &obs::global().snapshot(),
-    );
+    let json = disasm_core::trace::merged_report_json("bench.fig2_scaling", &traces);
     bench::emit_bench_json("fig2_scaling", &json).expect("write perf record");
 }

@@ -107,30 +107,6 @@ fn main() {
         println!("\nours made zero errors (baseline best: {best_baseline})");
     }
 
-    // cost of observability: rerun ours with global metric recording off and
-    // on; the always-on trace is included in both, so the delta is the
-    // registry's counters/histograms alone
-    let tool = disasm_eval::Tool::ours(train_standard_model(scaled(12)));
-    let best_secs = |on: bool| {
-        obs::set_enabled(on);
-        let mut best = f64::INFINITY;
-        for _ in 0..3 {
-            best = best.min(evaluate(&tool, &corpus).elapsed.as_secs_f64());
-        }
-        obs::set_enabled(false);
-        best
-    };
-    let off_ms = best_secs(false) * 1000.0;
-    let on_ms = best_secs(true) * 1000.0;
-    let overhead = (on_ms - off_ms) / off_ms * 100.0;
-    println!(
-        "\nmetrics overhead: {overhead:+.1}% (enabled {on_ms:.1} ms vs disabled {off_ms:.1} ms, target <5%)"
-    );
-
-    let json = disasm_core::trace::merged_report_json(
-        "bench.table2_accuracy",
-        &traces,
-        &obs::global().snapshot(),
-    );
+    let json = disasm_core::trace::merged_report_json("bench.table2_accuracy", &traces);
     bench::emit_bench_json("table2_accuracy", &json).expect("write perf record");
 }

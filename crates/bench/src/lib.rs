@@ -43,7 +43,7 @@ pub fn banner(id: &str, title: &str, expectation: &str) {
     println!();
 }
 
-/// Write a `metadis.trace.v6` perf record to `BENCH_<id>.json` and report
+/// Write a `metadis.trace.v7` perf record to `BENCH_<id>.json` and report
 /// where it went. Records land in `$BENCH_JSON_DIR` when set (relative dirs
 /// resolve against the repository root, not the bench binary's cwd),
 /// otherwise in the repository root, building up the perf trajectory across

@@ -79,14 +79,6 @@ impl Baseline {
         let instructions = d.inst_starts.len() as u64;
         ph.done(instructions, &[("instructions", instructions)]);
         d.trace = rec.finish();
-        if obs::enabled() {
-            let g = obs::global();
-            g.add("baseline.runs", 1);
-            g.record(
-                &format!("baseline.{}.wall_ns", self.name()),
-                d.trace.total_wall_ns,
-            );
-        }
         d
     }
 }

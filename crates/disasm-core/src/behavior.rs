@@ -95,6 +95,74 @@ pub fn count_links(text: &[u8], starts: &[u32]) -> (u64, u64) {
     (links, pairs)
 }
 
+/// [`count_links`] for a caller that scores many overlapping chains over
+/// one text (the statistical pass scores a chain at every undecided
+/// offset): each offset is decoded once and only its def-use summary is
+/// kept, so rescoring a chain costs lookups instead of full decodes.
+#[derive(Debug)]
+pub struct LinkCache {
+    /// Per text offset: 0 = not decoded yet, [`NO_INST`] = no valid
+    /// decode, else [`VALID`] | (defined register + 1) << 16 | read mask.
+    memo: Vec<u32>,
+}
+
+const VALID: u32 = 1 << 31;
+const NO_INST: u32 = 1;
+
+/// Pack `inst`'s [`defined_reg`] and the mask of registers it reads (bit
+/// `n` = `Gp(n)`, the registers [`uses_reg`] looks for).
+fn summary(inst: &Inst) -> u32 {
+    let def = defined_reg(inst).map_or(0, |r| u32::from(r.0) + 1);
+    let mut reads = 0u32;
+    for op in &inst.operands {
+        let regs = match op {
+            Operand::Reg(r) => [Some(*r), None],
+            Operand::Mem(m) => [m.base, m.index],
+            _ => [None, None],
+        };
+        for g in regs.into_iter().flatten().filter_map(Reg::as_gp) {
+            reads |= 1 << g.0;
+        }
+    }
+    VALID | def << 16 | reads
+}
+
+impl LinkCache {
+    /// An empty cache over a text of `text_len` bytes.
+    pub fn new(text_len: usize) -> LinkCache {
+        LinkCache {
+            memo: vec![0; text_len],
+        }
+    }
+
+    /// Same result as [`count_links`]`(text, starts)`; `text` must be the
+    /// text this cache was built for.
+    pub fn count_links(&mut self, text: &[u8], starts: &[u32]) -> (u64, u64) {
+        let mut links = 0u64;
+        let mut pairs = 0u64;
+        let mut prev = NO_INST;
+        for &off in starts {
+            let Some(slot) = self.memo.get_mut(off as usize) else {
+                prev = NO_INST;
+                continue;
+            };
+            if *slot == 0 {
+                *slot = x86_isa::decode_at(text, off as usize).map_or(NO_INST, |i| summary(&i));
+            }
+            let cur = *slot;
+            if cur != NO_INST && prev != NO_INST {
+                pairs += 1;
+                let def = (prev >> 16) & 0x1f;
+                if def != 0 && cur & (1 << (def - 1)) != 0 {
+                    links += 1;
+                }
+            }
+            prev = cur;
+        }
+        (links, pairs)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -147,5 +215,27 @@ mod tests {
         // only (mov rbp,rsp → mov rax,[rbp-8]) is linked: push defines
         // nothing we track, and ret reads nothing
         assert_eq!(links, 1);
+    }
+
+    #[test]
+    fn link_cache_matches_count_links_on_overlapping_chains() {
+        let w = bingen::Workload::generate(&bingen::GenConfig::small(8));
+        let text = &w.text;
+        let mut cache = LinkCache::new(text.len());
+        // a fall-through chain of up to 64 decodes from every offset, so
+        // chains overlap and later ones hit the memo
+        for start in 0..text.len() as u32 {
+            let mut chain = Vec::new();
+            let mut off = start as usize;
+            while chain.len() < 64 && off < text.len() {
+                chain.push(off as u32);
+                off += x86_isa::decode_at(text, off).map_or(1, |i| i.len as usize);
+            }
+            assert_eq!(
+                cache.count_links(text, &chain),
+                count_links(text, &chain),
+                "chain from {start}"
+            );
+        }
     }
 }

@@ -37,7 +37,6 @@ pub struct Cfg {
 impl Cfg {
     /// Build the CFG for a disassembly of `image`.
     pub fn build(image: &Image, d: &Disassembly) -> Cfg {
-        let sw = obs::Stopwatch::start();
         let text = &image.text;
         let starts: BTreeSet<u32> = d.inst_starts.iter().copied().collect();
 
@@ -202,11 +201,7 @@ impl Cfg {
             b.calls.sort_unstable();
             b.calls.dedup();
         }
-        let cfg = Cfg { blocks };
-        obs::count("cfg.builds", 1);
-        obs::count("cfg.blocks", cfg.blocks.len() as u64);
-        obs::record("cfg.build_ns", sw.elapsed_ns());
-        cfg
+        Cfg { blocks }
     }
 
     /// Number of basic blocks.

@@ -99,8 +99,7 @@ const FREE: Cell = Cell {
 /// Run the full pipeline over an image.
 ///
 /// Phase timing is recorded unconditionally into the result's
-/// [`PipelineTrace`] through one [`Recorder`] (a few clock reads per run);
-/// global counters and histograms only fire when [`obs::enabled`].
+/// [`PipelineTrace`] through one [`Recorder`] (a few clock reads per run).
 pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
     let deadline = Deadline::start(&cfg.limits);
     let text = &image.text;
@@ -213,7 +212,7 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
 
     // ---- P2: structural — jump tables and address-taken constants
     let mut ph = eng.phase(&mut rec, "jumptable");
-    let tables = if cfg.enable_jump_tables {
+    let (tables, redecodes) = if cfg.enable_jump_tables {
         let out = jumptable::detect_budgeted(
             text,
             image.text_va,
@@ -224,11 +223,14 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
             &deadline,
         );
         ph.degrade(out.degradations);
-        out.tables
+        (out.tables, out.redecodes)
     } else {
-        Vec::new()
+        (Vec::new(), 0)
     };
-    ph.done(tables.len() as u64, &[("tables", tables.len() as u64)]);
+    ph.done(
+        tables.len() as u64,
+        &[("tables", tables.len() as u64), ("redecodes", redecodes)],
+    );
     for t in &tables {
         eng.jt_targets.extend(t.targets.iter().copied());
     }
@@ -331,22 +333,7 @@ pub(crate) fn run(cfg: &Config, image: &Image) -> Disassembly {
             ("alloc_peak", trace.alloc_peak.into()),
         ],
     );
-    let d = eng.finish(tables, trace);
-
-    if obs::enabled() {
-        let g = obs::global();
-        g.add("pipeline.runs", 1);
-        g.add("pipeline.bytes", nb);
-        g.add("superset.candidates", candidates);
-        g.add("viability.eliminated", eliminated);
-        g.add("viability.iterations", viab.iterations());
-        g.add("corrections.applied", d.corrections.len() as u64);
-        g.record("pipeline.wall_ns", d.trace.total_wall_ns);
-        for p in &d.trace.phases {
-            g.add(&format!("phase.{}.ns", p.name), p.wall_ns);
-        }
-    }
-    d
+    eng.finish(tables, trace)
 }
 
 struct Engine<'a> {
@@ -731,6 +718,7 @@ impl<'a> Engine<'a> {
     /// Statistical classification of every remaining undecided region.
     fn statistical_pass(&mut self, model: &StatModel, text: &[u8], threshold: f64, defuse: bool) {
         let n = self.cells.len();
+        let mut link_cache = defuse.then(|| crate::behavior::LinkCache::new(text.len()));
         let mut o = 0u32;
         while (o as usize) < n {
             if self.cells[o as usize].kind != CellKind::Un {
@@ -770,8 +758,8 @@ impl<'a> Engine<'a> {
             let chain = self.undecided_chain(o, 256);
             let classes: Vec<OpClass> = chain.iter().map(|&c| self.ss.at(c).opclass).collect();
             let mut score = model.score_chain(&classes);
-            if defuse {
-                let (links, pairs) = crate::behavior::count_links(text, &chain);
+            if let Some(cache) = link_cache.as_mut() {
+                let (links, pairs) = cache.count_links(text, &chain);
                 score += model.defuse_chain_score(links, pairs);
             }
             let chain_end = chain

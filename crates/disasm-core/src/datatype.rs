@@ -62,7 +62,6 @@ impl DataRegion {
 
 /// Find and classify every maximal data run of a disassembled image.
 pub fn classify_data_regions(image: &Image, d: &Disassembly) -> Vec<DataRegion> {
-    let sw = obs::Stopwatch::start();
     let mut out = Vec::new();
     let n = image.text.len();
     let mut i = 0usize;
@@ -81,8 +80,6 @@ pub fn classify_data_regions(image: &Image, d: &Disassembly) -> Vec<DataRegion> 
             kind: classify(image, d, start as u32, i as u32),
         });
     }
-    obs::count("datatype.regions", out.len() as u64);
-    obs::record("datatype.classify_ns", sw.elapsed_ns());
     out
 }
 

@@ -8,8 +8,8 @@
 //!
 //! The second half ([`diff_trace_reports`]) compares two `metadis.trace.*`
 //! JSON reports (a committed baseline vs a fresh run) against configurable
-//! thresholds — per-phase wall time, iteration counts, degradations, and
-//! error counters — powering `metadis trace-diff` and the CI regression
+//! thresholds — per-phase wall time, iteration counts, degradations and
+//! worker utilization — powering `metadis trace-diff` and the CI regression
 //! gate.
 
 use crate::{ByteClass, Disassembly};
@@ -90,7 +90,6 @@ impl fmt::Display for DisasmDiff {
 /// Panics if the two disassemblies cover different byte counts (they must
 /// come from the same image).
 pub fn diff(a: &Disassembly, b: &Disassembly) -> DisasmDiff {
-    let sw = obs::Stopwatch::start();
     assert_eq!(
         a.byte_class.len(),
         b.byte_class.len(),
@@ -132,8 +131,6 @@ pub fn diff(a: &Disassembly, b: &Disassembly) -> DisasmDiff {
         conflicts.push(r);
     }
 
-    obs::count("diff.runs", 1);
-    obs::record("diff.ns", sw.elapsed_ns());
     DisasmDiff {
         agreed_starts,
         only_a,
@@ -184,11 +181,11 @@ impl Default for TraceDiffConfig {
 /// One threshold violation found by [`diff_trace_reports`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct TraceRegression {
-    /// Tool name the violation belongs to (empty for report-level metrics).
+    /// Tool name the violation belongs to.
     pub tool: String,
     /// Metric that regressed (`wall_ns`, `phase.superset.wall_ns`,
-    /// `viability_iterations`, `corrections`, `degradations`,
-    /// `counter.<name>`, `present`).
+    /// `timeline.critical_path_ns`, `timeline.worker_utilization`,
+    /// `viability_iterations`, `corrections`, `degradations`, `present`).
     pub metric: String,
     /// Baseline value.
     pub old: f64,
@@ -203,15 +200,7 @@ impl fmt::Display for TraceRegression {
         write!(
             f,
             "{}/{}: {} -> {} (limit {})",
-            if self.tool.is_empty() {
-                "report"
-            } else {
-                &self.tool
-            },
-            self.metric,
-            self.old,
-            self.new,
-            self.limit
+            self.tool, self.metric, self.old, self.new, self.limit
         )
     }
 }
@@ -250,11 +239,7 @@ impl TraceDiffReport {
             let mut t = obs::TextTable::new(["tool", "metric", "old", "new", "limit"]);
             for r in &self.regressions {
                 t.row([
-                    if r.tool.is_empty() {
-                        "report".to_string()
-                    } else {
-                        r.tool.clone()
-                    },
+                    r.tool.clone(),
                     r.metric.clone(),
                     format!("{}", r.old),
                     format!("{}", r.new),
@@ -291,8 +276,9 @@ fn arr_len(v: &JsonValue, key: &str) -> usize {
     v.get(key).and_then(JsonValue::as_arr).map_or(0, <[_]>::len)
 }
 
-/// Compare two parsed `metadis.trace.*` reports (any schema version ≥ v1;
-/// v2 and v3 reports mix freely since every field compared exists in v1).
+/// Compare two parsed `metadis.trace.*` reports of any schema version:
+/// fields an older record lacks read as 0, and a version mismatch is only
+/// noted as schema skew.
 ///
 /// # Errors
 ///
@@ -447,36 +433,6 @@ pub fn diff_trace_reports(
         }
     }
 
-    // error counters in the metrics block: any growth past the count ratio
-    // is a regression (these count failures, not work, so no volume floor)
-    let counters = |v: &JsonValue| -> Vec<(String, f64)> {
-        v.path("metrics.counters")
-            .and_then(JsonValue::as_obj)
-            .map_or(Vec::new(), |fields| {
-                fields
-                    .iter()
-                    .filter(|(k, _)| k.contains("error"))
-                    .filter_map(|(k, v)| v.as_f64().map(|n| (k.clone(), n)))
-                    .collect()
-            })
-    };
-    let old_counters = counters(old);
-    for (k, n) in counters(new) {
-        let o = old_counters
-            .iter()
-            .find(|(ok, _)| *ok == k)
-            .map_or(0.0, |(_, v)| *v);
-        if ratio_exceeds(o, n, cfg.max_count_ratio) {
-            report.regressions.push(TraceRegression {
-                tool: String::new(),
-                metric: format!("counter.{k}"),
-                old: o,
-                new: n,
-                limit: cfg.max_count_ratio,
-            });
-        }
-    }
-
     Ok(report)
 }
 
@@ -560,11 +516,7 @@ mod tests {
                 completed: 1,
             });
         }
-        let json = crate::trace::merged_report_json(
-            "test",
-            &[("metadis".to_string(), t)],
-            &obs::Snapshot::default(),
-        );
+        let json = crate::trace::merged_report_json("test", &[("metadis".to_string(), t)]);
         obs::json::parse(&json).unwrap()
     }
 
@@ -638,11 +590,7 @@ mod tests {
             t.runs = 1;
             t.timeline.worker_utilization = util;
             t.timeline.critical_path_ns = critical_ns;
-            let json = crate::trace::merged_report_json(
-                "test",
-                &[("metadis".to_string(), t)],
-                &obs::Snapshot::default(),
-            );
+            let json = crate::trace::merged_report_json("test", &[("metadis".to_string(), t)]);
             obs::json::parse(&json).unwrap()
         };
         let cfg = TraceDiffConfig::default();

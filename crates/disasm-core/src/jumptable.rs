@@ -33,16 +33,18 @@ use x86_isa::{decode_at, Gp, Inst, MemOperand, Mnemonic, Operand, Reg};
 /// and again inside every chain that reaches it; predecessors overlap
 /// between anchors). Since the superset table only stores prescan
 /// summaries, each of those was a full operand-materializing decode — the
-/// cache makes every revisit a map hit and counts the decodes saved under
-/// `jumptable.redecode`.
+/// cache makes every revisit a map hit and counts the decodes saved in
+/// `hits` (reported as [`DetectOutcome::redecodes`]).
 struct DecodeCache {
     map: HashMap<u32, Option<Inst>>,
+    hits: u64,
 }
 
 impl DecodeCache {
     fn new() -> DecodeCache {
         DecodeCache {
             map: HashMap::new(),
+            hits: 0,
         }
     }
 
@@ -52,7 +54,7 @@ impl DecodeCache {
     fn decode(&mut self, text: &[u8], off: u32) -> Option<&Inst> {
         match self.map.entry(off) {
             Entry::Occupied(e) => {
-                obs::count("jumptable.redecode", 1);
+                self.hits += 1;
                 e.into_mut().as_ref()
             }
             Entry::Vacant(v) => v.insert(decode_at(text, off as usize).ok()).as_ref(),
@@ -112,6 +114,8 @@ pub struct DetectOutcome {
     /// One record per budget hit: an entry cap per capped table, plus at
     /// most one deadline record if the anchor scan stopped early.
     pub degradations: Vec<Degradation>,
+    /// Full decodes the scan saved by revisiting an already-decoded offset.
+    pub redecodes: u64,
 }
 
 /// Scan the whole text for jump tables — both tables embedded in text
@@ -152,7 +156,6 @@ pub fn detect_budgeted(
     max_entries: u32,
     deadline: &Deadline,
 ) -> DetectOutcome {
-    let sw = obs::Stopwatch::start();
     let mut out = Vec::new();
     let mut degradations = Vec::new();
     let mut cache = DecodeCache::new();
@@ -219,11 +222,10 @@ pub fn detect_budgeted(
             });
         }
     }
-    obs::count("jumptable.detected", out.len() as u64);
-    obs::record("jumptable.detect_ns", sw.elapsed_ns());
     DetectOutcome {
         tables: out,
         degradations,
+        redecodes: cache.hits,
     }
 }
 

@@ -17,7 +17,7 @@
 //! * [`Degradation`] — the structured record a phase leaves behind when it
 //!   hits a budget: which phase, which limit, and how much work completed.
 //!   Degradations accumulate in [`crate::PipelineTrace::degradations`] and
-//!   are serialized by the `metadis.trace.v3` schema.
+//!   are serialized in the `metadis.trace.*` records.
 //!
 //! The invariant every limited phase preserves: hitting a budget only ever
 //! *shrinks* the evidence a later phase sees (fewer candidates, fewer
@@ -52,7 +52,7 @@ pub enum LimitKind {
 }
 
 impl LimitKind {
-    /// Stable lowercase name used by the `metadis.trace.v3` schema.
+    /// Stable lowercase name used by the `metadis.trace.*` records.
     pub fn name(self) -> &'static str {
         match self {
             LimitKind::SupersetCandidates => "superset_candidates",

@@ -31,7 +31,6 @@ impl Default for ListingOptions {
 
 /// Render an annotated listing of the disassembly.
 pub fn render(image: &Image, d: &Disassembly, opts: &ListingOptions) -> String {
-    let sw = obs::Stopwatch::start();
     let text = &image.text;
     let base = image.text_va;
     let funcs: BTreeSet<u32> = d.func_starts.iter().copied().collect();
@@ -167,8 +166,6 @@ pub fn render(image: &Image, d: &Disassembly, opts: &ListingOptions) -> String {
     if opts.max_lines > 0 && lines >= opts.max_lines {
         let _ = writeln!(out, "... (listing truncated at {} lines)", opts.max_lines);
     }
-    obs::count("listing.renders", 1);
-    obs::record("listing.render_ns", sw.elapsed_ns());
     out
 }
 

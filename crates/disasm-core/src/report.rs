@@ -65,7 +65,6 @@ pub struct Report {
 impl Report {
     /// Build the report for a disassembly of `image`.
     pub fn build(image: &Image, d: &Disassembly) -> Report {
-        let sw = obs::Stopwatch::start();
         let cfg = Cfg::build(image, d);
         let code_bytes = d.count(ByteClass::InstStart) + d.count(ByteClass::InstBody);
         let data_bytes = d.count(ByteClass::Data);
@@ -135,7 +134,7 @@ impl Report {
             }
         }
 
-        let report = Report {
+        Report {
             text_bytes: image.text.len(),
             code_bytes,
             data_bytes,
@@ -146,10 +145,7 @@ impl Report {
             data_kinds,
             resolved_indirect: (resolved, indirect_total),
             corrections: d.corrections.len(),
-        };
-        obs::count("report.builds", 1);
-        obs::record("report.build_ns", sw.elapsed_ns());
-        report
+        }
     }
 
     /// Fraction of text bytes classified as code.

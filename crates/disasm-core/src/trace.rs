@@ -4,13 +4,13 @@
 //! wall time of [`crate::correct`] went: one [`PhaseStat`] per pipeline
 //! phase, the viability fixpoint iteration count, and the number of
 //! corrections applied per [`Priority`] class. Tracing is always on — it is
-//! a handful of monotonic clock reads per run — while the heavier global
-//! counters/histograms in [`obs`] stay behind [`obs::enabled`]. Each phase
-//! is recorded by one [`Phase`] guard of a [`Recorder`], which writes the
-//! phase's row, span and log line from the same clock.
+//! a handful of monotonic clock reads per run — and the trace is the run's
+//! only metrics record. Each phase is recorded by one [`Phase`] guard of a
+//! [`Recorder`], which writes the phase's row, span and log line from the
+//! same clock.
 //!
 //! Phase names are a stable, documented contract (consumed by the CLI's
-//! `--trace-json` schema `metadis.trace.v6` and by the bench JSON records):
+//! `--trace-json` schema `metadis.trace.v7` and by the bench JSON records):
 //!
 //! | phase | meaning |
 //! |-------|---------|
@@ -30,38 +30,29 @@
 //! `fallback.linear` phase appears only when a pipeline phase panicked and
 //! the run degraded to the linear-sweep fallback.
 //!
-//! ## Schema history
+//! ## The `metadis.trace.v7` record
 //!
-//! * `metadis.trace.v1` — phases, totals, viability iterations,
-//!   corrections per priority.
-//! * `metadis.trace.v2` — everything in v1, plus a `degradations` array
-//!   (`{phase, limit, completed}` per budget hit, see
-//!   [`crate::limits::Degradation`]) on every trace object.
-//! * `metadis.trace.v3` — everything in v2, plus a `spans` array on every
-//!   trace object: structured begin/end event spans with parent IDs,
-//!   monotonic start offsets, and per-span counters ([`obs::span::Span`]).
-//!   The flat `phases` array is retained verbatim for v2 consumers; spans
-//!   carry the same phase names with nesting and extra counters on top.
-//! * `metadis.trace.v4` — everything in v3, plus `alloc_bytes` and
-//!   `alloc_peak` on every trace object: bytes allocated during the run and
-//!   the high-water mark of live bytes above the run's starting level, fed
-//!   by the counting allocator ([`obs::alloc`]). Both are 0 when allocation
-//!   accounting is inactive. When active, spans additionally carry
-//!   `alloc_bytes`/`alloc_peak` counters per phase.
-//! * `metadis.trace.v5` — everything in v4, plus a `threads` field on every
-//!   trace object (worker threads the run was configured with; 0 when not
-//!   recorded) and `shards`/`merge_wall_ns` on every phase entry (how many
-//!   shards the phase decomposed into — 1 for a sequential phase — and the
-//!   wall time spent merging shard results back together, so sharding
-//!   overhead is visible instead of folded into the phase wall time).
-//! * `metadis.trace.v6` — everything in v5, plus a `timeline_summary`
-//!   object on every trace object, fed by the flight recorder
-//!   ([`obs::timeline`]): `critical_path_ns` (longest dependency chain
-//!   through the phases — slowest shard plus merge wait per sharded phase,
-//!   full wall per serial phase), `worker_utilization` (mean busy
-//!   percentage across worker lanes, 0–100) and `shard_skew` (worst
-//!   `(max-min)*100/max` shard-duration imbalance). All three are 0 when
-//!   the recorder was off for the run.
+//! A report is `{schema, command, tools: [...]}`, one object per tool
+//! (CHANGELOG.md has how the schema grew). Each tool object carries:
+//!
+//! * `tool`, `text_bytes`, `wall_ns`, `bytes_per_sec`,
+//!   `viability_iterations`, `corrections`, `corrections_by_priority`,
+//!   `runs`;
+//! * `phases` — one `{name, wall_ns, bytes, items, bytes_per_sec, shards,
+//!   merge_wall_ns}` row per phase, in execution order;
+//! * `degradations` — one `{phase, limit, completed}` per budget hit (see
+//!   [`crate::limits::Degradation`]);
+//! * `spans` — the begin/end span tree with parent IDs, start offsets and
+//!   per-span counters ([`obs::span::Span`]);
+//! * `alloc_bytes`, `alloc_peak` — heap bytes allocated during the run and
+//!   its live-byte high-water mark ([`obs::alloc`]; 0 when accounting is
+//!   inactive);
+//! * `threads` — worker threads the run was configured with;
+//! * `timeline_summary` — `{critical_path_ns, worker_utilization,
+//!   shard_skew}` from the flight recorder ([`obs::timeline`]; all 0 when
+//!   the recorder was off);
+//! * from a full [`Disassembly`] only: `decisions_by_priority`,
+//!   `instructions`, `functions`, `jump_tables`.
 
 use crate::correct::Priority;
 use crate::limits::Degradation;
@@ -72,7 +63,7 @@ use obs::{SpanSet, TextTable};
 
 /// Schema tag of the trace report JSON ([`trace_report_json`] /
 /// [`merged_report_json`]).
-pub const SCHEMA: &str = "metadis.trace.v6";
+pub const SCHEMA: &str = "metadis.trace.v7";
 
 /// Timing and volume of one pipeline phase.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,8 +117,8 @@ pub struct PipelineTrace {
     /// complete; non-empty means it is partial but honestly labeled.
     pub degradations: Vec<Degradation>,
     /// Structured event spans of the run: a begin/end tree with parent IDs
-    /// and per-span counters, in begin order. Supersedes the flat `phases`
-    /// timers (which are retained for `metadis.trace.v2` compatibility).
+    /// and per-span counters, in begin order. Each phase's span carries the
+    /// same name and `wall_ns` as its `phases` row, plus its counters.
     pub spans: Vec<obs::Span>,
     /// Bytes allocated during the run(s) (0 when allocation accounting is
     /// inactive — see [`obs::alloc`]).
@@ -314,12 +305,7 @@ impl PipelineTrace {
     /// `text_bytes`, `wall_ns`, `bytes_per_sec`, `viability_iterations`,
     /// `corrections`, `corrections_by_priority`, `runs`, `phases`,
     /// `degradations`, `spans`, `alloc_bytes`, `alloc_peak`, `threads`,
-    /// `timeline_summary`.
-    /// Each schema generation's additions are serialized strictly *after*
-    /// the previous generation's fields of their enclosing object — the
-    /// v5 `threads` after the v4 alloc fields, the v6 `timeline_summary`
-    /// object last of all — so stripping them yields a byte-identical
-    /// older document (golden-pinned by the schema downgrade tests).
+    /// `timeline_summary`, in that order (pinned by the schema golden).
     pub fn write_json_fields(&self, w: &mut JsonWriter) {
         w.field_u64("text_bytes", self.text_bytes);
         w.field_u64("wall_ns", self.total_wall_ns);
@@ -554,7 +540,7 @@ pub fn priority_name(i: usize) -> &'static str {
 
 /// Write one tool's complete trace object `{tool, <trace fields>,
 /// decisions_by_priority, instructions, functions, jump_tables}` — the
-/// per-tool entry of the `metadis.trace.v6` schema.
+/// per-tool entry of the `metadis.trace.v7` schema.
 pub fn write_tool_json(w: &mut JsonWriter, tool: &str, d: &Disassembly) {
     w.begin_obj();
     w.field_str("tool", tool);
@@ -571,17 +557,10 @@ pub fn write_tool_json(w: &mut JsonWriter, tool: &str, d: &Disassembly) {
     w.end_obj();
 }
 
-/// Render a complete `metadis.trace.v6` report: `{schema, command,
-/// tools: [...], metrics: {...}}`. The CLI's `--trace-json` and the bench
-/// binaries both emit exactly this shape, so one consumer reads either.
-/// Every `metadis.trace.v4` field is still present with identical encoding;
-/// v5 only adds the per-tool `threads` field and the per-phase
-/// `shards`/`merge_wall_ns` fields.
-pub fn trace_report_json(
-    command: &str,
-    tools: &[(String, Disassembly)],
-    metrics: &obs::Snapshot,
-) -> String {
+/// Render a complete `metadis.trace.v7` report: `{schema, command,
+/// tools: [...]}`. The CLI's `--trace-json` and the bench binaries both
+/// emit exactly this shape, so one consumer reads either.
+pub fn trace_report_json(command: &str, tools: &[(String, Disassembly)]) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.field_str("schema", SCHEMA);
@@ -592,8 +571,6 @@ pub fn trace_report_json(
         write_tool_json(&mut w, name, d);
     }
     w.end_arr();
-    w.key("metrics");
-    metrics.write_json(&mut w);
     w.end_obj();
     w.finish()
 }
@@ -602,11 +579,7 @@ pub fn trace_report_json(
 /// carry only the trace fields, no per-disassembly decision counts. The
 /// bench binaries use this after aggregating traces across whole corpora
 /// with [`PipelineTrace::merge`].
-pub fn merged_report_json(
-    command: &str,
-    tools: &[(String, PipelineTrace)],
-    metrics: &obs::Snapshot,
-) -> String {
+pub fn merged_report_json(command: &str, tools: &[(String, PipelineTrace)]) -> String {
     let mut w = JsonWriter::new();
     w.begin_obj();
     w.field_str("schema", SCHEMA);
@@ -620,8 +593,6 @@ pub fn merged_report_json(
         w.end_obj();
     }
     w.end_arr();
-    w.key("metrics");
-    metrics.write_json(&mut w);
     w.end_obj();
     w.finish()
 }
@@ -766,8 +737,6 @@ mod tests {
         a.write_json_fields(&mut w);
         w.end_obj();
         let s = w.finish();
-        // each generation's additions come last so stripping them walks
-        // the schema back one version at a time
         assert!(
             s.ends_with(
                 r#","alloc_bytes":1500,"alloc_peak":800,"threads":0,"timeline_summary":{"critical_path_ns":0,"worker_utilization":0,"shard_skew":0}}"#

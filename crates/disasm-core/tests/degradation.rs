@@ -209,12 +209,10 @@ fn degradations_serialize_in_trace_json() {
         },
         &image,
     );
-    let json = disasm_core::trace::trace_report_json(
-        "e2e",
-        &[("metadis".to_string(), d)],
-        &obs::global().snapshot(),
-    );
-    assert!(json.contains(r#""schema":"metadis.trace.v6""#), "{json}");
+    let json = disasm_core::trace::trace_report_json("e2e", &[("metadis".to_string(), d)]);
+    assert!(json.contains(r#""schema":"metadis.trace.v7""#), "{json}");
+    assert!(!json.contains(r#""metrics""#), "{json}");
+    assert!(json.contains(r#""redecodes":"#), "{json}");
     assert!(json.contains(r#""degradations":["#), "{json}");
     assert!(json.contains(r#""limit":"correction_steps""#), "{json}");
     assert!(json.contains(r#""phase":"correct""#), "{json}");

@@ -6,7 +6,7 @@ use disasm_baselines::Baseline;
 use disasm_core::{Config, Disassembler, Image, PipelineTrace, Priority};
 
 /// Phase names recorded by a default-config pipeline run, in execution
-/// order. This list is part of the `metadis.trace.v3` schema — changing it
+/// order. This list is part of the `metadis.trace.*` schema — changing it
 /// breaks `--trace-json` consumers, so this test pins it.
 const EXPECTED_PHASES: [&str; 9] = [
     "superset",
@@ -53,6 +53,18 @@ fn trace_totals_are_consistent() {
     // superset items = valid candidates, bounded by text size
     let ss = d.trace.phase("superset").unwrap();
     assert!(ss.items > 0 && ss.items <= d.trace.text_bytes);
+    // the jumptable span counts the full decodes its cache saved
+    let jt = d
+        .trace
+        .spans
+        .iter()
+        .find(|s| s.name == "jumptable")
+        .unwrap();
+    assert!(
+        jt.counters.iter().any(|&(n, _)| n == "redecodes"),
+        "{:?}",
+        jt.counters
+    );
 
     // one clock per phase, on every path that produces a trace
     for threads in [1, 2] {
@@ -134,19 +146,4 @@ fn ablations_shrink_the_phase_set() {
     assert_eq!(d.trace.viability_iterations, 0);
     assert!(d.trace.phase("viability").is_some());
     assert_eq!(d.decisions_by_priority[Priority::Behavioral as usize], 0);
-}
-
-#[test]
-fn global_metrics_capture_pipeline_run() {
-    // obs global state is process-wide and tests share the process, so the
-    // assertions are lower bounds rather than exact counts.
-    obs::set_enabled(true);
-    let (_, d) = workload_disassembly();
-    obs::set_enabled(false);
-    let snap = obs::global().snapshot();
-    assert!(snap.counters["pipeline.runs"] >= 1);
-    assert!(snap.counters["pipeline.bytes"] >= d.trace.text_bytes);
-    assert!(snap.counters["corrections.applied"] >= d.corrections.len() as u64);
-    assert!(snap.histograms["pipeline.wall_ns"].count >= 1);
-    assert!(snap.counters.contains_key("phase.superset.ns"));
 }

@@ -8,7 +8,7 @@
 //!   shards, `i` instant markers, thread-name metadata records.
 //! * [`analyze`] — span reconstruction plus the critical-path /
 //!   worker-utilization / shard-skew numbers stamped into the
-//!   `metadis.trace.v6` schema ([`TimelineSummary`]).
+//!   `metadis.trace.*` schema ([`TimelineSummary`]).
 //! * [`render_summary`] — the human `--profile-summary` report (headline
 //!   numbers, per-lane utilization table, shard-duration table).
 //!
@@ -113,7 +113,7 @@ pub struct ShardGroup {
 /// per-shard-group breakdowns the profile report renders.
 #[derive(Debug, Clone, Default)]
 pub struct Analysis {
-    /// The `metadis.trace.v6` headline numbers.
+    /// The trace schema's `timeline_summary` headline numbers.
     pub summary: TimelineSummary,
     /// Worker-lane utilization, lane order (coordinator lane excluded).
     pub lanes: Vec<LaneStat>,

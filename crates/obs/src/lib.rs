@@ -1,28 +1,32 @@
 //! # obs
 //!
 //! Zero-external-dependency observability primitives for the metadis
-//! pipeline: monotonic span timers, atomic [`Counter`]s, log-scale
-//! [`Histogram`]s, a thread-safe [`MetricsRegistry`], and human-table /
+//! pipeline: monotonic [`Stopwatch`]es, per-run [`SpanSet`] trees, log-scale
+//! [`Histogram`]s, structured logging, the flight recorder, and human-table /
 //! JSON renderers.
 //!
 //! The crate deliberately uses nothing beyond the standard library so the
 //! workspace stays buildable without any registry access.
 //!
-//! ## The global registry
+//! ## Recording a run
 //!
-//! Library code records into [`global()`] guarded by an [`enabled()`] flag
-//! that defaults to off; when disabled, instrumentation costs a single
-//! relaxed atomic load. The CLI enables it for `--metrics`/`--trace-json`
-//! runs, the bench binaries enable it explicitly.
+//! There is no process-wide metrics store: each run owns its record. A
+//! [`SpanSet`] builds one run's span tree, each span timed on one clock and
+//! carrying its own counters; a [`Stopwatch`] times anything else.
 //!
 //! ```
-//! obs::set_enabled(true);
-//! let result = obs::time("demo.work_ns", || 2 + 2);
-//! assert_eq!(result, 4);
-//! obs::count("demo.calls", 1);
-//! let snap = obs::global().snapshot();
-//! assert_eq!(snap.counters["demo.calls"], 1);
-//! assert_eq!(snap.histograms["demo.work_ns"].count, 1);
+//! let sw = obs::Stopwatch::start();
+//! let mut spans = obs::SpanSet::new();
+//! let root = spans.begin("demo");
+//! let work = spans.begin("demo.work");
+//! spans.counter(work, "items", 4);
+//! spans.end(work);
+//! spans.end(root);
+//! let tree = spans.finish();
+//! assert_eq!(tree[1].parent, Some(tree[0].id));
+//! assert_eq!(tree[1].counters, vec![("items", 4)]);
+//! assert!(tree[0].wall_ns >= tree[1].wall_ns);
+//! assert!(sw.elapsed_ns() >= tree[0].wall_ns);
 //! ```
 
 // The only unsafe in the crate is the `GlobalAlloc` impl behind the
@@ -38,66 +42,18 @@ pub mod json;
 pub mod log;
 pub mod metrics;
 pub mod provenance;
-pub mod registry;
 pub mod series;
 pub mod slo;
 pub mod span;
 pub mod table;
 pub mod timeline;
 
-pub use metrics::{Counter, Histogram, HistogramSummary};
-pub use registry::{MetricsRegistry, ScopedReset, Snapshot};
+pub use metrics::{Histogram, HistogramSummary};
 pub use span::{Span, SpanSet};
 pub use table::TextTable;
 pub use timeline::TimelineSummary;
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::OnceLock;
 use std::time::Instant;
-
-static ENABLED: AtomicBool = AtomicBool::new(false);
-static GLOBAL: OnceLock<MetricsRegistry> = OnceLock::new();
-
-/// Turn global metric recording on or off (off by default).
-pub fn set_enabled(on: bool) {
-    ENABLED.store(on, Ordering::Relaxed);
-}
-
-/// `true` when global metric recording is on.
-pub fn enabled() -> bool {
-    ENABLED.load(Ordering::Relaxed)
-}
-
-/// The process-wide registry.
-pub fn global() -> &'static MetricsRegistry {
-    GLOBAL.get_or_init(MetricsRegistry::new)
-}
-
-/// Add `n` to a global counter — no-op unless [`enabled`].
-pub fn count(name: &str, n: u64) {
-    if enabled() {
-        global().add(name, n);
-    }
-}
-
-/// Record a sample into a global histogram — no-op unless [`enabled`].
-pub fn record(name: &str, v: u64) {
-    if enabled() {
-        global().record(name, v);
-    }
-}
-
-/// Time `f` and record the elapsed nanoseconds into the global histogram
-/// `name` (when [`enabled`]). Returns `f`'s result either way.
-pub fn time<T>(name: &str, f: impl FnOnce() -> T) -> T {
-    if !enabled() {
-        return f();
-    }
-    let sw = Stopwatch::start();
-    let out = f();
-    global().record(name, sw.elapsed_ns());
-    out
-}
 
 /// A monotonic stopwatch.
 #[derive(Debug, Clone, Copy)]
@@ -140,15 +96,5 @@ mod tests {
         let a = sw.elapsed_ns();
         let b = sw.elapsed_ns();
         assert!(b >= a);
-    }
-
-    #[test]
-    fn disabled_recording_is_dropped() {
-        set_enabled(false);
-        count("test.disabled.counter", 5);
-        record("test.disabled.hist", 5);
-        let snap = global().snapshot();
-        assert!(!snap.counters.contains_key("test.disabled.counter"));
-        assert!(!snap.histograms.contains_key("test.disabled.hist"));
     }
 }

@@ -1,41 +1,10 @@
-//! Atomic counters and log-scale histograms.
+//! Log-scale histograms.
 //!
-//! Both types are lock-free and sharable across threads behind an `Arc`;
-//! recording is a handful of atomic operations, cheap enough to leave enabled
-//! in hot paths.
+//! A [`Histogram`] is lock-free and sharable across threads; recording is
+//! a handful of atomic operations, cheap enough to leave enabled in hot
+//! paths.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-
-/// A monotonically increasing atomic counter.
-#[derive(Debug, Default)]
-pub struct Counter(AtomicU64);
-
-impl Counter {
-    /// New counter at zero.
-    pub fn new() -> Counter {
-        Counter::default()
-    }
-
-    /// Add one.
-    pub fn inc(&self) {
-        self.add(1);
-    }
-
-    /// Add `n`.
-    pub fn add(&self, n: u64) {
-        self.0.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Current value.
-    pub fn get(&self) -> u64 {
-        self.0.load(Ordering::Relaxed)
-    }
-
-    /// Reset to zero. Existing handles stay valid — only the value clears.
-    pub fn reset(&self) {
-        self.0.store(0, Ordering::Relaxed);
-    }
-}
 
 /// Number of histogram buckets: bucket `b` holds values whose bit length is
 /// `b`, i.e. bucket 0 holds only 0, bucket `b` holds `[2^(b-1), 2^b - 1]`.
@@ -135,22 +104,6 @@ impl Histogram {
         self.count.load(Ordering::Relaxed)
     }
 
-    /// Reset to the empty state. Existing handles stay valid — only the
-    /// recorded samples clear.
-    pub fn reset(&self) {
-        for b in &self.buckets {
-            b.store(0, Ordering::Relaxed);
-        }
-        self.count.store(0, Ordering::Relaxed);
-        self.sum.store(0, Ordering::Relaxed);
-        self.min.store(u64::MAX, Ordering::Relaxed);
-        self.max.store(0, Ordering::Relaxed);
-        for (t, v) in self.ex_tag.iter().zip(&self.ex_val) {
-            t.store(0, Ordering::Relaxed);
-            v.store(0, Ordering::Relaxed);
-        }
-    }
-
     /// Sum of all samples (wrapping).
     pub fn sum(&self) -> u64 {
         self.sum.load(Ordering::Relaxed)
@@ -228,40 +181,11 @@ impl HistogramSummary {
         }
         self.max
     }
-
-    /// Fold another summary into this one.
-    pub fn merge(&mut self, other: &HistogramSummary) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        self.count += other.count;
-        self.sum = self.sum.wrapping_add(other.sum);
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-        for &(b, c) in &other.buckets {
-            match self.buckets.binary_search_by_key(&b, |&(sb, _)| sb) {
-                Ok(i) => self.buckets[i].1 += c,
-                Err(i) => self.buckets.insert(i, (b, c)),
-            }
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn counter_arithmetic() {
-        let c = Counter::new();
-        c.inc();
-        c.add(41);
-        assert_eq!(c.get(), 42);
-    }
 
     #[test]
     fn bucket_math() {
@@ -305,10 +229,6 @@ mod tests {
         assert_eq!(ex, vec![(3, 0xbb, 6), (10, 0xcc, 1000)]);
         // summary counts include the untagged sample
         assert_eq!(h.summary().count, 4);
-        // reset clears exemplars along with everything else
-        h.reset();
-        assert!(h.exemplars().is_empty());
-        assert_eq!(h.summary().count, 0);
     }
 
     #[test]
@@ -317,20 +237,5 @@ mod tests {
         assert_eq!(s.count, 0);
         assert_eq!(s.quantile(0.99), 0);
         assert_eq!(s.mean(), 0.0);
-    }
-
-    #[test]
-    fn summary_merge() {
-        let a = Histogram::new();
-        a.record(1);
-        a.record(10);
-        let b = Histogram::new();
-        b.record(100);
-        let mut s = a.summary();
-        s.merge(&b.summary());
-        assert_eq!(s.count, 3);
-        assert_eq!(s.sum, 111);
-        assert_eq!(s.min, 1);
-        assert_eq!(s.max, 100);
     }
 }

@@ -238,7 +238,7 @@ pub fn dropped() -> u64 {
 }
 
 /// Aggregate timeline analysis for one pipeline run: the three fields the
-/// `metadis.trace.v6` schema stamps per tool, plus the headline numbers
+/// trace schema stamps per tool, plus the headline numbers
 /// the profile report prints. All values are plain integers (percentages
 /// scaled to 0–100) so serialization is deterministic.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -263,11 +263,15 @@ pub struct TimelineSummary {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::Mutex;
+
+    /// The recorder gate is process-global; tests that flip it serialize
+    /// here.
+    static TEST_LOCK: Mutex<()> = Mutex::new(());
 
     #[test]
     fn record_take_and_gate() {
-        // Single test covers the enabled and disabled paths so parallel
-        // test threads cannot race on the global gate mid-assertion.
+        let _g = TEST_LOCK.lock().unwrap();
         set_enabled(false);
         let before = len();
         begin("tl.test.off");
@@ -295,6 +299,7 @@ mod tests {
 
     #[test]
     fn absorb_appends_and_mark_windows() {
+        let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let m = mark();
         begin("tl.test.outer");
@@ -320,6 +325,7 @@ mod tests {
 
     #[test]
     fn events_carry_the_request_context() {
+        let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let m = mark();
         let id = crate::ctx::RequestId::mint();
@@ -336,6 +342,7 @@ mod tests {
 
     #[test]
     fn worker_lanes_are_pinnable() {
+        let _g = TEST_LOCK.lock().unwrap();
         set_enabled(true);
         let evs = std::thread::spawn(|| {
             set_lane(5);

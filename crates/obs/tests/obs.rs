@@ -1,101 +1,55 @@
-//! Integration tests: counter/histogram arithmetic under concurrency and
-//! golden renderings of the JSON and table output.
+//! Integration tests: histogram arithmetic under concurrency and the
+//! golden table rendering.
 
-use obs::json::JsonWriter;
-use obs::{MetricsRegistry, TextTable};
+use obs::{Histogram, TextTable};
 use std::sync::Arc;
 
 #[test]
-fn registry_concurrent_totals_merge() {
+fn histogram_concurrent_totals() {
     const THREADS: usize = 8;
     const PER_THREAD: u64 = 10_000;
-    let reg = Arc::new(MetricsRegistry::new());
+    let h = Arc::new(Histogram::new());
     let handles: Vec<_> = (0..THREADS)
         .map(|t| {
-            let reg = Arc::clone(&reg);
+            let h = Arc::clone(&h);
             std::thread::spawn(move || {
-                let c = reg.counter("work.items");
-                let h = reg.histogram("work.ns");
                 for i in 0..PER_THREAD {
-                    c.inc();
                     h.record(t as u64 * PER_THREAD + i);
                 }
             })
         })
         .collect();
-    for h in handles {
-        h.join().unwrap();
+    for handle in handles {
+        handle.join().unwrap();
     }
-    let s = reg.snapshot();
-    assert_eq!(s.counters["work.items"], THREADS as u64 * PER_THREAD);
-    let hist = &s.histograms["work.ns"];
-    assert_eq!(hist.count, THREADS as u64 * PER_THREAD);
-    // sum of 0..80000
+    let s = h.summary();
     let n = THREADS as u64 * PER_THREAD;
-    assert_eq!(hist.sum, n * (n - 1) / 2);
-    assert_eq!(hist.min, 0);
-    assert_eq!(hist.max, n - 1);
+    assert_eq!(s.count, n);
+    // sum of 0..80000
+    assert_eq!(s.sum, n * (n - 1) / 2);
+    assert_eq!(s.min, 0);
+    assert_eq!(s.max, n - 1);
 }
 
 #[test]
-fn concurrent_snapshot_while_recording() {
-    let reg = Arc::new(MetricsRegistry::new());
+fn concurrent_summary_while_recording() {
+    let h = Arc::new(Histogram::new());
     let writer = {
-        let reg = Arc::clone(&reg);
+        let h = Arc::clone(&h);
         std::thread::spawn(move || {
             for i in 0..50_000u64 {
-                reg.add("spin", 1);
-                reg.record("spin.ns", i % 1024);
+                h.record(i % 1024);
             }
         })
     };
-    // snapshots taken mid-flight must be internally consistent
+    // summaries taken mid-flight must be internally consistent
     for _ in 0..50 {
-        let s = reg.snapshot();
-        if let Some(h) = s.histograms.get("spin.ns") {
-            let bucket_total: u64 = h.buckets.iter().map(|&(_, c)| c).sum();
-            assert_eq!(bucket_total, h.count);
-        }
+        let s = h.summary();
+        let bucket_total: u64 = s.buckets.iter().map(|&(_, c)| c).sum();
+        assert_eq!(bucket_total, s.count);
     }
     writer.join().unwrap();
-    assert_eq!(reg.snapshot().counters["spin"], 50_000);
-}
-
-#[test]
-fn snapshot_json_golden() {
-    let reg = MetricsRegistry::new();
-    reg.add("pipeline.runs", 2);
-    reg.add("superset.candidates", 100);
-    let h = reg.histogram("disassemble.ns");
-    h.record(3);
-    h.record(5);
-    let mut w = JsonWriter::new();
-    reg.snapshot().write_json(&mut w);
-    assert_eq!(
-        w.finish(),
-        concat!(
-            r#"{"counters":{"pipeline.runs":2,"superset.candidates":100},"#,
-            r#""histograms":{"disassemble.ns":{"count":2,"sum":8,"min":3,"max":5,"#,
-            r#""mean":4,"p50":3,"p99":5}}}"#
-        )
-    );
-}
-
-#[test]
-fn snapshot_json_shape() {
-    // Independent of exact values: the emitted JSON must contain both
-    // top-level sections and parse-stable key ordering (BTreeMap order).
-    let reg = MetricsRegistry::new();
-    reg.add("b.counter", 1);
-    reg.add("a.counter", 1);
-    let mut w = JsonWriter::new();
-    reg.snapshot().write_json(&mut w);
-    let s = w.finish();
-    let a = s.find("a.counter").unwrap();
-    let b = s.find("b.counter").unwrap();
-    assert!(a < b, "keys must render in sorted order: {s}");
-    assert!(s.starts_with(r#"{"counters":{"#), "{s}");
-    assert!(s.contains(r#""histograms":{}"#), "{s}");
+    assert_eq!(h.summary().count, 50_000);
 }
 
 #[test]

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Perf-trajectory gate: run the throughput bench (QUICK corpus), check the
 # threads=1 vs threads=4 parallel speedup, and diff the bench's
-# metadis.trace.v6 record against the committed baseline in
+# metadis.trace.v7 record against the committed baseline in
 # tests/data/bench/ with `metadis trace-diff`.
 #
 # Count metrics (viability iterations, corrections, degradations) are

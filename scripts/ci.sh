@@ -25,6 +25,14 @@ for _ in $(seq 1 10); do
   cargo test -q --offline --test profile_e2e
 done
 
+echo "== obs unit-test stability (obs --lib x20)"
+# The obs unit tests share process-global gates (logger, flight recorder,
+# allocation accounting); the tests that flip a gate serialize on a lock.
+# Twenty clean runs in a row keep those races fixed.
+for _ in $(seq 1 20); do
+  cargo test -q --offline -p obs --lib
+done
+
 echo "== prescan/decode differential fuzz gate (release)"
 # The superset builder trusts the branchless prescan_window fast path for
 # length, class, flow and displacement at every byte offset. Re-prove, in
@@ -62,8 +70,8 @@ cargo run --release --offline --bin fuzz-smoke -- --iterations 10000 --seed 1
 
 echo "== trace-diff regression gate"
 # Disassemble a fixed-seed workload and diff its trace record against the
-# committed baseline. Count metrics (iterations, corrections, degradations,
-# error counters) are deterministic and gate tightly; wall-clock gets a
+# committed baseline. Count metrics (iterations, corrections, degradations)
+# are deterministic and gate tightly; wall-clock gets a
 # generous ratio so the gate survives slow CI machines. Regenerate the
 # baseline after an intentional pipeline change with:
 #   cargo run --release --bin metadis -- gen -o /tmp/ci.elf --seed 42 --functions 16
