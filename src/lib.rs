@@ -53,6 +53,14 @@ pub mod serve;
 #[global_allocator]
 static GLOBAL_ALLOC: obs::alloc::CountingAlloc = obs::alloc::CountingAlloc::new();
 
+/// Serializes the unit tests that drive the process-global logger: every
+/// in-process [`cli::run`] installs and tears down its sink and level, so
+/// on the test harness's parallel threads one invocation's teardown could
+/// detach another's `--log` file mid-run, or a level set elsewhere could
+/// leak into a `--log-level warn` run.
+#[cfg(test)]
+static LOGGER_TEST_LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 pub use bingen as gen;
 pub use disasm_baselines as baselines;
 pub use disasm_core as core;
